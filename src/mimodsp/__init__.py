@@ -7,11 +7,11 @@ a coded link-level simulator, tied together by the ``mimodsp`` CLI.
 from . import (channel, complexity, decentral, equalization, impairments,
                link, numerics)
 from .channel import (diag_dominance, draw_iid_rayleigh, draw_los_ula,
-                      estimate_ls, gram, hardening_variance, load_realizations,
-                      rx_power, save_realizations, stream_rng)
+                      estimate_ls, gram, hardening_variance, rx_power,
+                      stream_rng)
 from .complexity import (AlgoCost, adc_power, adder_area, dac_fom,
                          dynamic_power, exact_inverse_cost, filter_area,
-                         multiplier_area, table2_cost, total_cost)
+                         multiplier_area, table2_cost)
 from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
                         aggregate_mf, centralized_link_load, group_link_load,
                         interconnect_rate, local_gram, local_mf, partition,

@@ -15,8 +15,6 @@ __all__ = [
     "diag_dominance",
     "hardening_variance",
     "rx_power",
-    "save_realizations",
-    "load_realizations",
 ]
 
 RngLike = Union[int, np.random.Generator]
@@ -120,22 +118,3 @@ def rx_power(p_tx: float, g_tx: float, g_rx: float, d: float, exponent: float) -
     if d <= 0:
         raise ValueError("distance must be positive")
     return float(g_tx * g_rx * d ** (-exponent) * p_tx)
-
-
-def save_realizations(path, g_stack: np.ndarray, seed: int) -> None:
-    """Binary dump of channel draws with their dimensions and seed.
-
-    ``g_stack`` is (n_draws, M, K); the header fields let a reader rebuild
-    the exact generator state that produced the draws.
-    """
-    g_stack = np.asarray(g_stack)
-    if g_stack.ndim != 3:
-        raise ValueError("expected a (n_draws, M, K) stack")
-    np.savez_compressed(path, g=g_stack, m=g_stack.shape[1], k=g_stack.shape[2],
-                        seed=int(seed))
-
-
-def load_realizations(path):
-    """Inverse of :func:`save_realizations`: returns (g_stack, m, k, seed)."""
-    with np.load(path) as data:
-        return data["g"], int(data["m"]), int(data["k"]), int(data["seed"])

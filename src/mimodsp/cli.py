@@ -14,7 +14,7 @@ import csv
 import logging
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import yaml
 
 from . import __version__
 from .channel import draw_iid_rayleigh, hardening_variance, stream_rng
-from .complexity import table2_cost
+from .complexity import ALGORITHMS, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
 from .equalization import precode
 from .impairments import (PaModel, build_nonreciprocal, calibrate,
@@ -126,9 +126,11 @@ def write_csv(path: str, echo: dict, header: Sequence[str],
 # Each builder validates its config section and returns a no-argument
 # callable producing (header, rows).  Validation must not compute.
 
-_SIM_KEYS = dict(m=int, k=int, constellation=str, detector=str,
-                 coherence_uses=int, frames=int, nsa_order=int, cd_sweeps=int,
-                 victim_mode=str, victim_policy=str)
+# SimConfig's scalar fields, keyed to the type a config value is read
+# as; snr_db and coded are read below, and seed is the top-level seed.
+_SCALARS = {"int": int, "Optional[int]": int, "float": float, "str": str}
+_SIM_KEYS = {f.name: _SCALARS[f.type] for f in fields(SimConfig)
+             if f.type in _SCALARS and f.name != "seed"}
 
 
 def _sim_config(s: _Schema, seed: int, **overrides) -> SimConfig:
@@ -146,14 +148,6 @@ def _sim_config(s: _Schema, seed: int, **overrides) -> SimConfig:
             s.errors.append("coded: expected true/false")
         else:
             kwargs["coded"] = coded
-    for key in ("pilot_snr_db", "c_const", "victim_fraction"):
-        val = s.take(key, typ=float)
-        if val is not None:
-            kwargs[key] = val
-    for key in ("signal_fraction_bits", "operator_fraction_bits", "adc_bits"):
-        val = s.take(key, typ=int)
-        if val is not None:
-            kwargs[key] = val
     trials = s.take("trials", typ=int)    # alias for frames
     if trials is not None:
         kwargs["frames"] = trials
@@ -274,10 +268,8 @@ def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
     k_list = s.take_list("k_list", int, required=True) or [1]
     order = s.take("nsa_order", default=3, typ=int)
     uses = s.take("coherence_uses", default=512, typ=int)
-    algos = s.take_list("algorithms", str,
-                        default=["nsa", "chd", "mqrd", "cd"])
-    known = {"nsa", "chd", "mqrd", "cd"}
-    bad = sorted(set(algos) - known)
+    algos = s.take_list("algorithms", str, default=list(ALGORITHMS))
+    bad = sorted(set(algos) - set(ALGORITHMS))
     if bad:
         s.errors.append(f"algorithms: unknown {bad}")
     if any(k > m for k in k_list):

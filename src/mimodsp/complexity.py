@@ -14,7 +14,6 @@ __all__ = [
     "AlgoCost",
     "table2_cost",
     "exact_inverse_cost",
-    "total_cost",
     "filter_area",
     "adder_area",
     "multiplier_area",
@@ -78,11 +77,6 @@ def exact_inverse_cost(m: int, k: int) -> int:
     if not m >= k >= 1:
         raise ValueError("need M >= K >= 1")
     return m * k ** 2 + k ** 3
-
-
-def total_cost(alg: str, m: int, k: int, l: int | None, p: int) -> float:
-    """Per-coherence-block count: setup plus ``p`` steady-state uses."""
-    return table2_cost(alg, m, k, l).total(p)
 
 
 def adder_area(n: int) -> float:

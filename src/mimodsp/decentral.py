@@ -73,12 +73,16 @@ def local_gram(g_hat: np.ndarray, part: GroupPartition) -> List[np.ndarray]:
 
 
 def aggregate_gram(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of partial Grams in group order (deterministic reduction)."""
+    """Sum of per-group partials in group order (deterministic reduction).
+
+    Partial Grams and matched-filter partials aggregate alike, so
+    :func:`aggregate_mf` is this same function.
+    """
     if not len(partials):
         raise ValueError("nothing to aggregate")
     acc = partials[0].copy()
-    for z_b in partials[1:]:
-        acc += z_b
+    for part_b in partials[1:]:
+        acc += part_b
     return acc
 
 
@@ -87,14 +91,7 @@ def local_mf(g_b: np.ndarray, y_b: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(g_b).T) @ np.asarray(y_b)
 
 
-def aggregate_mf(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of matched-filter partials in group order."""
-    if not len(partials):
-        raise ValueError("nothing to aggregate")
-    acc = partials[0].copy()
-    for s_b in partials[1:]:
-        acc += s_b
-    return acc
+aggregate_mf = aggregate_gram
 
 
 @dataclass(frozen=True)

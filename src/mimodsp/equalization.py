@@ -46,6 +46,7 @@ __all__ = [
     "chd_detect",
     "mqrd_detect",
     "MqrdDetection",
+    "DETECTORS",
     "UplinkDetector",
     "build_uplink_detector",
 ]
@@ -188,13 +189,12 @@ def post_combining_sinr(combiner: LinearCombiner, g: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _whitened_offdiag(z: np.ndarray):
+def _whitened_offdiag(z: np.ndarray) -> np.ndarray:
     zd = np.diag(z).real
     if np.any(zd <= 0):
         raise ValueError("Gram diagonal must be positive")
     dinv_sqrt = 1.0 / np.sqrt(zd)
-    b = -(dinv_sqrt[:, None] * (z - np.diag(np.diag(z))) * dinv_sqrt[None, :])
-    return zd, dinv_sqrt, b
+    return -(dinv_sqrt[:, None] * (z - np.diag(np.diag(z))) * dinv_sqrt[None, :])
 
 
 def _radius_estimate(b: np.ndarray, iters: int = 60) -> float:
@@ -215,13 +215,43 @@ def _radius_estimate(b: np.ndarray, iters: int = 60) -> float:
     return float(lam)
 
 
-def _check_radius(b: np.ndarray) -> float:
-    rho = _radius_estimate(b)
+def _check_radius(z: np.ndarray) -> float:
+    rho = _radius_estimate(_whitened_offdiag(z))
     if rho >= 1.0:
         warnings.warn(
             f"series iteration radius {rho:.3f} >= 1; truncated inverse may diverge",
             NsaDivergenceWarning, stacklevel=3)
     return rho
+
+
+# The two series kernels below are the only implementation of NSA and
+# WNSA: the detector runs them under its overlay, and the public
+# inverses run them under the identity overlay, which rounds nothing.
+
+
+def _nsa_inverse_quantized(zbar, order, ov: FxpOverlay):
+    k = zbar.shape[0]
+    zd = np.diag(zbar).real
+    dinv = ov.q_operator(1.0 / zd)
+    x = ov.q_operator(np.eye(k) - dinv[:, None] * zbar)
+    acc = np.diag(dinv).astype(complex)
+    term = np.diag(dinv).astype(complex)
+    for _ in range(order):
+        term = ov.q_operator(x @ term)
+        acc = ov.q_operator(acc + term)
+    return acc
+
+
+def _wnsa_inverse_quantized(zbar, cfg: WnsaConfig, ov: FxpOverlay):
+    k = zbar.shape[0]
+    dinv_sqrt = 1.0 / np.sqrt(np.diag(zbar).real)
+    b = ov.q_operator(_whitened_offdiag(zbar))
+    acc = np.zeros((k, k), dtype=complex)
+    power = np.eye(k, dtype=complex)
+    for alpha in cfg.weights:
+        acc = ov.q_operator(acc + alpha * power)
+        power = ov.q_operator(power @ b)
+    return dinv_sqrt[:, None] * acc * dinv_sqrt[None, :]
 
 
 def nsa_inverse(z: np.ndarray, cfg: NsaConfig | int) -> np.ndarray:
@@ -236,17 +266,8 @@ def nsa_inverse(z: np.ndarray, cfg: NsaConfig | int) -> np.ndarray:
     if isinstance(cfg, int):
         cfg = NsaConfig(order=cfg)
     z = np.asarray(z)
-    k = z.shape[0]
-    zd, _, b = _whitened_offdiag(z)
-    _check_radius(b)
-    dinv = np.diag(1.0 / zd)
-    x = np.eye(k) - dinv @ z
-    acc = dinv.astype(complex).copy()
-    term = dinv.astype(complex).copy()
-    for _ in range(cfg.order):
-        term = x @ term
-        acc += term
-    return acc
+    _check_radius(z)
+    return _nsa_inverse_quantized(z, cfg.order, _IDENTITY)
 
 
 def fit_wnsa_weights(z: np.ndarray, order: int, samples: int = 31) -> WnsaConfig:
@@ -258,9 +279,7 @@ def fit_wnsa_weights(z: np.ndarray, order: int, samples: int = 31) -> WnsaConfig
     uniform samples spanning the realization's eigenvalue range.  Falls
     back to all-ones weights when the range collapses to a point.
     """
-    z = np.asarray(z)
-    _, _, b = _whitened_offdiag(z)
-    ev = np.linalg.eigvalsh(b)
+    ev = np.linalg.eigvalsh(_whitened_offdiag(np.asarray(z)))
     lo, hi = float(ev.min()), float(ev.max())
     if hi - lo < 1e-12:
         return WnsaConfig(order=order, weights=(1.0,) * (order + 1))
@@ -280,25 +299,24 @@ def wnsa_inverse(z: np.ndarray, cfg: WnsaConfig) -> np.ndarray:
     whose unweighted series diverges.
     """
     z = np.asarray(z)
-    k = z.shape[0]
-    zd, dinv_sqrt, b = _whitened_offdiag(z)
-    _check_radius(b)
-    acc = np.zeros((k, k), dtype=complex)
-    power = np.eye(k, dtype=complex)
-    for alpha in cfg.weights:
-        acc += alpha * power
-        power = power @ b
-    return dinv_sqrt[:, None] * acc * dinv_sqrt[None, :]
+    _check_radius(z)
+    return _wnsa_inverse_quantized(z, cfg, _IDENTITY)
 
 
 # ---------------------------------------------------------------------------
-# iterative and factorization-based detectors
+# one-shot iterative and factorization-based detectors
 # ---------------------------------------------------------------------------
 
 
 def _ls_objective(g, y, x, noise_var):
     r = y - g @ x
     return np.sum(np.abs(r) ** 2, axis=0) + noise_var * np.sum(np.abs(x) ** 2, axis=0)
+
+
+def _columns(y):
+    """Receive vectors as complex columns, and whether ``y`` was one vector."""
+    y = np.asarray(y, dtype=complex)
+    return (y[:, None], True) if y.ndim == 1 else (y, False)
 
 
 def cd_detect(g_hat: np.ndarray, y: np.ndarray, noise_var: float,
@@ -309,9 +327,10 @@ def cd_detect(g_hat: np.ndarray, y: np.ndarray, noise_var: float,
     Users are updated round-robin; each step sets coordinate i to
     ``g_i^H (y - sum_{j != i} g_j x_j) / (||g_i||^2 + N0)``, the exact
     per-coordinate minimizer, so the objective never increases in double
-    precision (asserted when ``check_objective``).  The method never forms
-    the Gram matrix: it tracks the antenna-domain residual, which is what
-    keeps its per-realization hardware cost at zero.
+    precision (asserted after every update when ``check_objective``).
+    The method never forms the Gram matrix: it tracks the antenna-domain
+    residual, which is what keeps its per-realization hardware cost at
+    zero.
 
     Under an overlay, stored quantities are rounded: the channel columns
     and inverse column energies once per realization, the residual (held
@@ -324,31 +343,16 @@ def cd_detect(g_hat: np.ndarray, y: np.ndarray, noise_var: float,
         raise ValueError("coordinate descent needs a positive noise variance")
     if check_objective and overlay is not None:
         raise ValueError("objective check applies to the double-precision path")
-    g = _validate_channel(g_hat)
-    ov = overlay or _IDENTITY
-    y = np.asarray(y, dtype=complex)
-    squeeze = y.ndim == 1
-    yc = y[:, None] if squeeze else y
-    m, k = g.shape
-
-    gq = ov.q_operator(g / 4.0) * 4.0
-    energy = np.sum(np.abs(gq) ** 2, axis=0) + noise_var
-    inv_energy = ov.q_operator(m / energy) / m
-    agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0
-    rbar = ov.q_signal(yc / agc)
-    xhat = np.zeros((k, yc.shape[1]), dtype=complex)
-    prev = _ls_objective(g, yc, xhat, noise_var) if check_objective else None
-    for _ in range(sweeps):
-        for i in range(k):
-            corr = np.conj(gq[:, i]) @ rbar * agc - noise_var * xhat[i, :]
-            delta = ov.q_signal(corr * inv_energy[i])
-            xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
-            rbar = ov.q_signal(rbar - np.outer(gq[:, i], delta) / agc)
-            if check_objective:
-                cur = _ls_objective(g, yc, xhat, noise_var)
-                if not np.all(cur <= prev * (1 + 1e-9) + 1e-12):
-                    raise AssertionError("objective increased during coordinate descent")
-                prev = cur
+    det = UplinkDetector("cd", g_hat, noise_var, overlay, cd_sweeps=sweeps)
+    if not check_objective:
+        return det.detect(y)
+    yc, squeeze = _columns(y)
+    prev = np.sum(np.abs(yc) ** 2, axis=0)      # the objective at x = 0
+    for xhat in det._cd_updates(yc):
+        cur = _ls_objective(det.g_hat, yc, xhat, noise_var)
+        if not np.all(cur <= prev * (1 + 1e-9) + 1e-12):
+            raise AssertionError("objective increased during coordinate descent")
+        prev = cur
     return xhat[:, 0] if squeeze else xhat
 
 
@@ -376,19 +380,8 @@ def chd_detect(g_hat: np.ndarray, y: np.ndarray, mode: str = "zf",
     mode = mode.lower()
     if mode not in ("zf", "mmse"):
         raise ValueError(f"unknown mode {mode!r}")
-    g = _validate_channel(g_hat)
-    ov = overlay or _IDENTITY
     nu = float(noise_var) if mode == "mmse" else 0.0
-    y = np.asarray(y, dtype=complex)
-    squeeze = y.ndim == 1
-    yc = y[:, None] if squeeze else y
-    zbar = _regularized_gram(g, nu, ov)
-    low = cholesky(zbar, quantize=ov.q_operator if ov.operator else None)
-    s = _matched_filter(g, yc, ov)
-    qs = ov.q_signal if ov.signal else None
-    t = forward_substitute(low, s, quantize=qs)
-    xhat = back_substitute(np.conj(low.T), t, quantize=qs)
-    return xhat[:, 0] if squeeze else xhat
+    return UplinkDetector("chd", g_hat, nu, overlay).detect(y)
 
 
 class MqrdDetection(NamedTuple):
@@ -407,25 +400,18 @@ def mqrd_detect(g_hat: np.ndarray, y: np.ndarray, c_const: float = 1.0,
     alongside the estimate because the modified rotations are not exactly
     unitary.
     """
-    g = _validate_channel(g_hat)
-    ov = overlay or _IDENTITY
-    y = np.asarray(y, dtype=complex)
-    squeeze = y.ndim == 1
-    yc = y[:, None] if squeeze else y
-    zbar = _regularized_gram(g, float(noise_var), ov)
-    res = qrd(zbar, mode="modified", c_const=c_const,
-              quantize=ov.q_operator if ov.operator else None)
-    t_mat = np.conj(res.q.T)
-    s = _matched_filter(g, yc, ov)
-    rhs = ov.q_signal(t_mat @ s)
-    xhat = back_substitute(res.r, rhs, quantize=ov.q_signal if ov.signal else None)
-    out = xhat[:, 0] if squeeze else xhat
-    return MqrdDetection(xhat=out, reconstruction_error=res.reconstruction_error)
+    det = UplinkDetector("mqrd", g_hat, float(noise_var), overlay,
+                         c_const=c_const)
+    return MqrdDetection(xhat=det.detect(y),
+                         reconstruction_error=det.reconstruction_error)
 
 
 # ---------------------------------------------------------------------------
 # per-coherence-block detector objects for link simulations
 # ---------------------------------------------------------------------------
+
+
+DETECTORS = ("mr", "zf", "mmse", "chd", "cd", "nsa", "wnsa", "mqrd")
 
 
 @dataclass
@@ -435,6 +421,10 @@ class UplinkDetector:
     Built once per coherence block and then applied to every channel use
     in it; construction covers the per-realization hardware cost
     (Gram, factorization, inverse) and :meth:`detect` the per-use cost.
+    This class is the one implementation of every method in
+    :data:`DETECTORS`; the one-shot functions above are front doors to
+    it.  ``method`` is case-insensitive.  ``reconstruction_error`` holds
+    the modified-QR decomposition error for "mqrd" and is None otherwise.
     """
 
     method: str
@@ -445,12 +435,16 @@ class UplinkDetector:
     cd_sweeps: int = 3
     c_const: float = 1.0
     _state: dict = field(default_factory=dict, repr=False)
+    reconstruction_error: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
-        g = _validate_channel(self.g_hat)
+        method = self.method.lower()
+        if method not in DETECTORS:
+            raise ValueError(f"unknown detector method {self.method!r}")
+        self.method = method
+        self.g_hat = g = _validate_channel(self.g_hat)
         ov = self.overlay or _IDENTITY
         m = g.shape[0]
-        method = self.method
         if method in ("mr", "zf", "mmse"):
             self._state["combiner"] = combiner_exact(g, method, self.noise_var)
         elif method in ("nsa", "wnsa"):
@@ -471,20 +465,17 @@ class UplinkDetector:
                       quantize=ov.q_operator if ov.operator else None)
             self._state["r"] = res.r
             self._state["t"] = np.conj(res.q.T)
-        elif method == "cd":
+            self.reconstruction_error = res.reconstruction_error
+        else:  # cd
             gq = ov.q_operator(g / 4.0) * 4.0
             energy = np.sum(np.abs(gq) ** 2, axis=0) + self.noise_var
             self._state["gq"] = gq
             self._state["inv_energy"] = ov.q_operator(m / energy) / m
-        else:
-            raise ValueError(f"unknown detector method {method!r}")
 
     def detect(self, y: np.ndarray) -> np.ndarray:
         g = self.g_hat
         ov = self.overlay or _IDENTITY
-        y = np.asarray(y, dtype=complex)
-        squeeze = y.ndim == 1
-        yc = y[:, None] if squeeze else y
+        yc, squeeze = _columns(y)
         method = self.method
         if method in ("mr", "zf", "mmse"):
             xhat = self._state["combiner"].combine(yc)
@@ -502,45 +493,29 @@ class UplinkDetector:
             xhat = back_substitute(self._state["r"], rhs,
                                    quantize=ov.q_signal if ov.signal else None)
         else:  # cd
-            gq = self._state["gq"]
-            inv_energy = self._state["inv_energy"]
-            agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0
-            rbar = ov.q_signal(yc / agc)
-            xhat = np.zeros((g.shape[1], yc.shape[1]), dtype=complex)
-            for _ in range(self.cd_sweeps):
-                for i in range(g.shape[1]):
-                    corr = np.conj(gq[:, i]) @ rbar * agc - self.noise_var * xhat[i, :]
-                    delta = ov.q_signal(corr * inv_energy[i])
-                    xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
-                    rbar = ov.q_signal(rbar - np.outer(gq[:, i], delta) / agc)
+            for xhat in self._cd_updates(yc):
+                pass
         return xhat[:, 0] if squeeze else xhat
 
+    def _cd_updates(self, yc):
+        """The cd sweeps over column-stacked receive vectors ``yc``.
 
-def _nsa_inverse_quantized(zbar, order, ov: FxpOverlay):
-    k = zbar.shape[0]
-    zd = np.diag(zbar).real
-    dinv = ov.q_operator(1.0 / zd)
-    x = ov.q_operator(np.eye(k) - dinv[:, None] * zbar)
-    acc = np.diag(dinv).astype(complex)
-    term = np.diag(dinv).astype(complex)
-    for _ in range(order):
-        term = ov.q_operator(x @ term)
-        acc = ov.q_operator(acc + term)
-    return acc
-
-
-def _wnsa_inverse_quantized(zbar, cfg: WnsaConfig, ov: FxpOverlay):
-    k = zbar.shape[0]
-    zd = np.diag(zbar).real
-    dinv_sqrt = 1.0 / np.sqrt(zd)
-    b = ov.q_operator(
-        -(dinv_sqrt[:, None] * (zbar - np.diag(zd)) * dinv_sqrt[None, :]))
-    acc = np.zeros((k, k), dtype=complex)
-    power = np.eye(k, dtype=complex)
-    for alpha in cfg.weights:
-        acc = ov.q_operator(acc + alpha * power)
-        power = ov.q_operator(power @ b)
-    return dinv_sqrt[:, None] * acc * dinv_sqrt[None, :]
+        Yields the estimate after every coordinate update; it is the same
+        array each time, updated in place.
+        """
+        ov = self.overlay or _IDENTITY
+        gq = self._state["gq"]
+        inv_energy = self._state["inv_energy"]
+        agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0
+        rbar = ov.q_signal(yc / agc)
+        xhat = np.zeros((gq.shape[1], yc.shape[1]), dtype=complex)
+        for _ in range(self.cd_sweeps):
+            for i in range(gq.shape[1]):
+                corr = np.conj(gq[:, i]) @ rbar * agc - self.noise_var * xhat[i, :]
+                delta = ov.q_signal(corr * inv_energy[i])
+                xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
+                rbar = ov.q_signal(rbar - np.outer(gq[:, i], delta) / agc)
+                yield xhat
 
 
 def build_uplink_detector(g_hat: np.ndarray, method: str, noise_var: float,

@@ -22,12 +22,13 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
-from ..equalization import apply_precoder, build_uplink_detector, precode
+from ..equalization import (DETECTORS, apply_precoder, build_uplink_detector,
+                            precode)
 from ..impairments import (CircuitErrorModel, PaModel, evm_db, inject_errors,
                            pa_apply, quantize_adc)
 from ..numerics import FxpOverlay
 from .coding import ConvCode, conv_encode, viterbi_decode
-from .modem import Constellation, demap_hard, demap_soft, map_bits
+from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
 
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
@@ -35,7 +36,6 @@ __all__ = [
     "OutagePoint", "OutageResult", "run_outage_study", "snr_at_ber",
 ]
 
-_DETECTORS = ("mr", "zf", "mmse", "chd", "cd", "nsa", "wnsa", "mqrd")
 _POLICIES = ("none", "ignore", "exclude")
 
 
@@ -75,11 +75,10 @@ class SimConfig:
             errs.append("snr_db: empty grid")
         elif not all(math.isfinite(s) for s in self.snr_db):
             errs.append("snr_db: entries must be finite")
-        known_const = self.constellation.lower() in ("qpsk", "16qam",
-                                                     "64qam", "256qam")
+        known_const = self.constellation.lower() in _ORDERS
         if not known_const:
             errs.append(f"constellation: unknown {self.constellation!r}")
-        if self.detector.lower() not in _DETECTORS:
+        if self.detector.lower() not in DETECTORS:
             errs.append(f"detector: unknown {self.detector!r}")
         if self.coherence_uses < 1:
             errs.append("coherence_uses: must be positive")
@@ -118,8 +117,7 @@ class SimConfig:
             raise ValueError("; ".join(errs))
 
     def _bps(self) -> int:
-        return {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}[
-            self.constellation.lower()]
+        return _ORDERS[self.constellation.lower()]
 
     def info_bits_per_stream(self) -> int:
         nb = self.coherence_uses * self._bps()

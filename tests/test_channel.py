@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mimodsp.channel import (diag_dominance, draw_iid_rayleigh, draw_los_ula,
-                             estimate_ls, gram, hardening_variance,
-                             load_realizations, rx_power, save_realizations,
+                             estimate_ls, gram, hardening_variance, rx_power,
                              stream_rng)
 
 
@@ -135,17 +134,3 @@ class TestRxPower:
     def test_invalid_distance(self):
         with pytest.raises(ValueError):
             rx_power(1.0, 1.0, 1.0, 0.0, 2.0)
-
-
-class TestRealizationsIo:
-    def test_round_trip(self, tmp_path, rng):
-        stack = np.stack([draw_iid_rayleigh(8, 2, rng) for _ in range(5)])
-        path = tmp_path / "chan.npz"
-        save_realizations(path, stack, seed=99)
-        g, m, k, seed = load_realizations(path)
-        assert np.array_equal(g, stack)
-        assert (m, k, seed) == (8, 2, 99)
-
-    def test_rejects_wrong_rank(self, tmp_path, rng):
-        with pytest.raises(ValueError):
-            save_realizations(tmp_path / "x.npz", draw_iid_rayleigh(4, 2, rng), 0)

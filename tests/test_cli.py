@@ -1,14 +1,17 @@
 """End-to-end checks of the ``mimodsp`` command line tool."""
 import csv
+import os
 import shutil
 import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
-from mimodsp import table2_cost
-from mimodsp.cli import main
+from mimodsp import SimConfig, table2_cost
+from mimodsp.cli import _SIM_KEYS, main
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -79,6 +82,11 @@ class TestRunBer:
             assert float(row[0]) == snr
             assert int(row[1]) == 4 * 2 * 128 * 2
             assert 0.0 <= float(row[3]) < 0.5
+
+    def test_every_sim_config_field_is_a_config_key(self):
+        # snr_db and coded have their own readers; seed is top-level
+        assert (set(_SIM_KEYS) | {"snr_db", "coded", "seed"}
+                == {f.name for f in fields(SimConfig)})
 
     def test_seed_override_is_echoed_and_applied(self, tmp_path):
         cfg = _write_config(tmp_path, _TINY_BER)
@@ -196,6 +204,15 @@ class TestRuntimeFailures:
         out = str(tmp_path / "missing" / "dir" / "x.csv")
         assert main(["run", "--config", cfg, "--out", out]) == 2
         assert "runtime error:" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "mimodsp", "validate",
+                           "--config", str(CONFIG_DIR / "interconnect.yaml")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "ok"
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,7 @@ import pytest
 
 from mimodsp import (AlgoCost, adc_power, adder_area, dac_fom, dynamic_power,
                      exact_inverse_cost, filter_area, multiplier_area,
-                     table2_cost, total_cost)
+                     table2_cost)
 from mimodsp.complexity import ALGORITHMS
 
 
@@ -83,7 +83,6 @@ class TestTable2Cost:
     def test_total_matches_sum(self):
         c = table2_cost("nsa", 128, 16, 3)
         assert c.total(512) == c.per_realization + 512 * c.per_use
-        assert total_cost("nsa", 128, 16, 3, 512) == c.total(512)
 
     def test_total_rejects_nonpositive_uses(self):
         with pytest.raises(ValueError):

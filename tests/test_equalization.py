@@ -8,7 +8,7 @@ from mimodsp.equalization import (LinearCombiner, NsaConfig,
                                   cd_detect, chd_detect, combiner_exact,
                                   fit_wnsa_weights, mqrd_detect, nsa_inverse,
                                   post_combining_sinr, precode, wnsa_inverse)
-from mimodsp.numerics import FxpOverlay
+from mimodsp.numerics import FxpOverlay, qrd
 
 
 def _chan(rng, m=64, k=8):
@@ -273,6 +273,16 @@ class TestUplinkDetector:
         g = _chan(rng)
         with pytest.raises(ValueError):
             build_uplink_detector(g, "magic", 0.1)
+
+    def test_mqrd_keeps_reconstruction_error(self, rng):
+        g, _, y = _sim_problem(rng)
+        nv = 0.05
+        det = build_uplink_detector(g, "mqrd", nv)
+        zbar = (np.conj(g.T) @ g + nv * np.eye(8)) / g.shape[0]
+        want = qrd(zbar, mode="modified").reconstruction_error
+        assert det.reconstruction_error == want
+        assert mqrd_detect(g, y, noise_var=nv).reconstruction_error == want
+        assert build_uplink_detector(g, "chd", nv).reconstruction_error is None
 
     def test_single_use_round_trip_shape(self, rng):
         g, _, y = _sim_problem(rng, n=1)

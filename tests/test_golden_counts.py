@@ -1,0 +1,43 @@
+"""Pinned bit-error counts for every uplink detector.
+
+A small coded 16-QAM sweep runs each detector in double precision and
+under the 4/4 and 8/8 fraction-bit overlays.  The counts were recorded
+before the detectors were folded into one implementation; any change to
+them is a change in behaviour, not a refactor.  The grid is chosen so
+every detector makes errors at one point or more, so a detector that
+silently stops detecting cannot pass by staying at zero.
+"""
+import pytest
+
+from mimodsp import SimConfig, run_uplink_ber
+
+_BASE = dict(m=32, k=8, snr_db=(-10.0, -8.0, -6.0), constellation="16qam",
+             coded=True, coherence_uses=64, frames=3, seed=7)
+
+# detector -> fraction bits (None = double precision) -> n_errors per SNR
+GOLDEN = {
+    "mr": {None: (932, 618, 349), 4: (932, 618, 349), 8: (932, 618, 349)},
+    "zf": {None: (710, 104, 0), 4: (710, 104, 0), 8: (710, 104, 0)},
+    "mmse": {None: (599, 39, 0), 4: (599, 39, 0), 8: (599, 39, 0)},
+    "chd": {None: (694, 83, 0), 4: (760, 135, 0), 8: (694, 90, 0)},
+    "cd": {None: (699, 83, 0), 4: (915, 231, 0), 8: (699, 90, 0)},
+    "nsa": {None: (856, 178, 0), 4: (857, 300, 8), 8: (857, 172, 0)},
+    "wnsa": {None: (694, 83, 0), 4: (894, 368, 3), 8: (786, 126, 0)},
+    "mqrd": {None: (694, 83, 0), 4: (939, 264, 18), 8: (768, 83, 0)},
+}
+
+
+@pytest.mark.parametrize("bits", [None, 4, 8], ids=["float", "fxp4", "fxp8"])
+@pytest.mark.parametrize("detector", sorted(GOLDEN))
+def test_error_counts_pinned(detector, bits):
+    cfg = SimConfig(detector=detector, signal_fraction_bits=bits,
+                    operator_fraction_bits=bits, **_BASE)
+    res = run_uplink_ber(cfg)
+    assert all(p.n_bits == 3 * 8 * 122 for p in res.points)
+    assert tuple(p.n_errors for p in res.points) == GOLDEN[detector][bits]
+
+
+def test_every_detector_makes_errors():
+    for detector, by_bits in GOLDEN.items():
+        for counts in by_bits.values():
+            assert any(counts), detector

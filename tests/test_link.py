@@ -171,6 +171,16 @@ class TestUplinkBerMechanics:
         noisy = run_uplink_ber(SimConfig(pilot_snr_db=-5.0, **base)).points[0]
         assert noisy.n_errors > clean.n_errors
 
+    def test_detector_name_is_case_insensitive(self):
+        # validate accepts any case, so the run must too
+        base = dict(m=8, k=2, snr_db=(-2.0, 0.0), coherence_uses=128,
+                    frames=3, seed=4)
+        for name in ("zf", "chd"):
+            upper = SimConfig(detector=name.upper(), **base)
+            upper.validate()
+            assert (run_uplink_ber(upper).points
+                    == run_uplink_ber(SimConfig(detector=name, **base)).points)
+
     def test_rejects_bad_worker_count(self):
         cfg = SimConfig(m=8, k=2, snr_db=(0.0,), frames=2)
         with pytest.raises(ValueError, match="workers"):
