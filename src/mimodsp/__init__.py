@@ -27,10 +27,9 @@ from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           draw_victims, evm_db, exclude_antennas,
                           inject_errors, mui_db, pa_apply,
                           per_antenna_sddr_db, quantize_adc, sddr_db)
-from .link import (BerResult, Constellation, ConvCode, SimConfig, conv_encode,
-                   demap_hard, demap_soft, map_bits, run_downlink_evm,
-                   run_outage_study, run_uplink_ber, snr_at_ber,
-                   viterbi_decode)
+from .link import (BerResult, Constellation, SimConfig, conv_encode, demap_hard,
+                   demap_soft, map_bits, run_downlink_evm, run_outage_study,
+                   run_uplink_ber, snr_at_ber, viterbi_decode)
 from .numerics import (FixedPointFormat, FxpOverlay, GivensRotation,
                        NonPositivePivotError, ZeroDiagonalError,
                        back_substitute, cholesky, forward_substitute,

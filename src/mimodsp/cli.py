@@ -29,6 +29,7 @@ from .impairments import (PaModel, build_nonreciprocal, calibrate,
                           draw_front_end_set, mui_db)
 from .link import (SimConfig, run_downlink_evm, run_outage_study,
                    run_uplink_ber)
+from .link.modem import _ORDERS
 
 log = logging.getLogger("mimodsp")
 
@@ -54,7 +55,8 @@ class _Schema:
         self.errors: List[str] = []
         self.seen = set()
 
-    def take(self, key, default=None, required=False, typ=None, choices=None):
+    def take(self, key, default=None, required=False, typ=None, choices=None,
+             minimum=None):
         self.seen.add(key)
         if key not in self.raw:
             if required:
@@ -70,12 +72,16 @@ class _Schema:
                 self.errors.append(f"{key}: expected {typ.__name__}, "
                                    f"got {val!r}")
                 return default
+        if minimum is not None and val is not None and val < minimum:
+            self.errors.append(f"{key}: must be at least {minimum}")
+            return default
         if choices is not None and val not in choices:
             self.errors.append(f"{key}: {val!r} not one of {sorted(choices)}")
             return default
         return val
 
-    def take_list(self, key, item_typ, default=None, required=False):
+    def take_list(self, key, item_typ, default=None, required=False,
+                  minimum=None):
         self.seen.add(key)
         if key not in self.raw:
             if required:
@@ -86,10 +92,14 @@ class _Schema:
             self.errors.append(f"{key}: expected a non-empty list")
             return default
         try:
-            return [item_typ(v) for v in val]
+            items = [item_typ(v) for v in val]
         except (TypeError, ValueError):
             self.errors.append(f"{key}: entries must be {item_typ.__name__}")
             return default
+        if minimum is not None and any(v < minimum for v in items):
+            self.errors.append(f"{key}: entries must be at least {minimum}")
+            return default
+        return items
 
     def finish(self):
         unknown = sorted(set(self.raw) - self.seen)
@@ -232,26 +242,29 @@ def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take_list("m_list", int, required=True) or [1]
-    k = s.take("k", required=True, typ=int) or 1
-    trials = s.take("trials", default=20, typ=int)
-    uses = s.take("uses", default=64, typ=int)
+    m_list = s.take_list("m_list", int, required=True)
+    k = s.take("k", required=True, typ=int, minimum=1)
+    trials = s.take("trials", default=20, typ=int, minimum=1)
+    uses = s.take("uses", default=64, typ=int, minimum=1)
     backoff = s.take("backoff_db", default=0.0, typ=float)
     precoder = s.take("precoder", default="zf", typ=str,
                       choices={"mr", "zf", "rzf"})
     constellation = s.take("constellation", default="qpsk", typ=str)
-    m_ref = s.take("m_ref", typ=int)
+    m_ref = s.take("m_ref", typ=int, minimum=1)
     pa_raw = s.take("pa", default={})
     ps = _Schema(pa_raw, "pa")
     a_1db = ps.take("a_1db", default=1.0, typ=float)
     alpha1 = ps.take("alpha1", default=1.0, typ=float)
     ps.finish()
-    if trials is not None and trials < 1:
-        s.errors.append("trials: must be positive")
-    if any(m < k for m in m_list):
+    if str(constellation).lower() not in _ORDERS:
+        s.errors.append(f"constellation: unknown {constellation!r}")
+    if m_list and k and any(m < k for m in m_list):
         s.errors.append("m_list: entries must be >= k")
+    try:
+        pa = PaModel.from_compression_point(a_1db, alpha1)
+    except ValueError as exc:
+        s.errors.append(f"pa: {exc}")
     s.finish()
-    pa = PaModel.from_compression_point(a_1db, alpha1)
 
     def run():
         points = run_downlink_evm(m_list, k, pa, trials=trials, uses=uses,
@@ -264,15 +277,18 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", required=True, typ=int) or 1
-    k_list = s.take_list("k_list", int, required=True) or [1]
+    m = s.take("m", required=True, typ=int, minimum=1)
+    k_list = s.take_list("k_list", int, required=True, minimum=1)
     order = s.take("nsa_order", default=3, typ=int)
-    uses = s.take("coherence_uses", default=512, typ=int)
+    uses = s.take("coherence_uses", default=512, typ=int, minimum=1)
     algos = s.take_list("algorithms", str, default=list(ALGORITHMS))
     bad = sorted(set(algos) - set(ALGORITHMS))
     if bad:
         s.errors.append(f"algorithms: unknown {bad}")
-    if any(k > m for k in k_list):
+    iterative = sorted({"nsa", "cd"} & set(algos))
+    if iterative and (order is None or order < 1):
+        s.errors.append(f"nsa_order: {iterative} need at least 1")
+    if m and k_list and any(k > m for k in k_list):
         s.errors.append("k_list: entries must not exceed m")
     s.finish()
 
@@ -312,12 +328,8 @@ def _build_interconnect(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take_list("m_list", int, required=True) or [1]
-    trials = s.take("trials", default=10000, typ=int)
-    if trials is not None and trials < 1:
-        s.errors.append("trials: must be positive")
-    if any(m < 1 for m in m_list):
-        s.errors.append("m_list: entries must be positive")
+    m_list = s.take_list("m_list", int, required=True, minimum=1)
+    trials = s.take("trials", default=10000, typ=int, minimum=1)
     s.finish()
 
     def run():
@@ -332,18 +344,16 @@ def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", required=True, typ=int) or 1
-    k = s.take("k", required=True, typ=int) or 1
+    m = s.take("m", required=True, typ=int, minimum=1)
+    k = s.take("k", required=True, typ=int, minimum=1)
     gain = s.take("gain_bound_db", default=1.0, typ=float)
     phase = s.take("phase_bound_deg", default=5.0, typ=float)
     residuals = s.take_list("residual_error_db", float, default=[-40.0])
-    trials = s.take("trials", default=100, typ=int)
+    trials = s.take("trials", default=100, typ=int, minimum=1)
     precoder = s.take("precoder", default="zf", typ=str,
                       choices={"mr", "zf", "rzf"})
-    if k > m:
+    if m and k and k > m:
         s.errors.append(f"k: {k} users exceed {m} antennas")
-    if trials is not None and trials < 1:
-        s.errors.append("trials: must be positive")
     s.finish()
 
     def _mui(g_for_precoder: np.ndarray, downlink: np.ndarray) -> float:

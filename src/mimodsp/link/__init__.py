@@ -1,5 +1,5 @@
 """Coded link-level simulation: modem, convolutional code, Monte-Carlo runs."""
-from .coding import ConvCode, conv_encode, viterbi_decode
+from .coding import conv_encode, viterbi_decode
 from .modem import Constellation, demap_hard, demap_soft, map_bits
 from .sim import (BerPoint, BerResult, EvmPoint, OutagePoint, OutageResult,
                   SimConfig, run_downlink_evm, run_outage_study,
@@ -7,7 +7,7 @@ from .sim import (BerPoint, BerResult, EvmPoint, OutagePoint, OutageResult,
 
 __all__ = [
     "Constellation", "map_bits", "demap_hard", "demap_soft",
-    "ConvCode", "conv_encode", "viterbi_decode",
+    "conv_encode", "viterbi_decode",
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
     "EvmPoint", "run_downlink_evm",
     "OutagePoint", "OutageResult", "run_outage_study", "snr_at_ber",

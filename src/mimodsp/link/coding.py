@@ -1,144 +1,110 @@
-"""Rate-1/2 convolutional code with a batched soft-input Viterbi decoder.
+"""Rate-1/2 (171, 133) convolutional code and a batched soft Viterbi decoder.
 
-Generators (171, 133) octal, constraint length 7, zero-terminated with
-six tail bits.  State is the shift register after absorbing the current
-input, newest bit in the MSB, so state ``n`` has predecessors
-``(n & 31) << 1`` and ``(n & 31) << 1 | 1`` and input bit ``n >> 5``.
+Constraint length 7, zero-terminated with six tail bits.  The state is
+the six-bit shift register after absorbing the current input, newest bit
+in the MSB.  Input ``u`` leaving state ``p`` fills the register
+``reg = (u << 6) | p``; generator ``g`` emits the parity of ``g & reg``
+and the next state is ``reg >> 1``.
+
+The decoder is a radix-2 butterfly.  Predecessors ``2j`` and ``2j + 1``
+differ only in the oldest bit and both lead to next states ``j`` (input
+0) and ``j + 32`` (input 1).  Both generators tap the newest and the
+oldest register bit, so flipping either flips both coded bits, and with
+``x_j`` the branch metric of input 0 leaving ``2j``::
+
+    new[j]      = max(m[2j] + x_j, m[2j+1] - x_j)
+    new[j + 32] = max(m[2j] - x_j, m[2j+1] + x_j)
+
+A coded bit ``c`` with LLR ``l`` (positive favours 0) adds
+``(1 - 2c) * l / 2``, so ``x_j`` is one of ``p, q, -p, -q`` with
+``p = (l0 + l1) / 2`` and ``q = (l0 - l1) / 2``.  Negation is exact in
+float64, so the decisions are those of an add-compare-select that works
+out all 128 branch metrics, bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["ConvCode", "conv_encode", "viterbi_decode"]
+__all__ = ["TAIL_BITS", "conv_encode", "viterbi_decode"]
 
+_GENERATORS = (0o171, 0o133)
+TAIL_BITS = 6
+_HALF = 1 << (TAIL_BITS - 1)     # butterflies per step: half the 64 states
 _NEG = -1e30    # effectively -inf path metric without producing NaNs
 
 
-@dataclass
-class ConvCode:
-    generators: tuple = (0o171, 0o133)
-    constraint_length: int = 7
-
-    # trellis tables, built lazily
-    _branch_bits: np.ndarray = field(default=None, repr=False)
-    _pred: np.ndarray = field(default=None, repr=False)
-    _ubit: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def n_states(self) -> int:
-        return 1 << (self.constraint_length - 1)
-
-    @property
-    def tail_bits(self) -> int:
-        return self.constraint_length - 1
-
-    def _tables(self):
-        if self._branch_bits is None:
-            ns = self.n_states
-            mem = self.constraint_length - 1
-            states = np.arange(ns)
-            self._pred = np.stack([(states & (ns // 2 - 1)) << 1,
-                                   ((states & (ns // 2 - 1)) << 1) | 1], axis=1)
-            self._ubit = states >> (mem - 1)
-            # branch_bits[g][u, prev] = coded bit for input u leaving state prev
-            regs = (np.arange(2)[:, None] << mem) | states[None, :]
-            out = []
-            for g in self.generators:
-                taps = np.array([(g >> (self.constraint_length - 1 - i)) & 1
-                                 for i in range(self.constraint_length)])
-                bits = np.zeros((2, ns), dtype=np.int64)
-                for i, t in enumerate(taps):
-                    if t:
-                        bits ^= (regs >> (mem - i)) & 1
-                out.append(bits)
-            self._branch_bits = np.stack(out)      # (n_gen, 2, ns)
-        return self._branch_bits, self._pred, self._ubit
-
-    def encode(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-        b, n = bits.shape
-        mem = self.constraint_length - 1
-        padded = np.zeros((b, n + mem), dtype=np.uint8)
-        padded[:, :n] = bits
-        t = n + mem
-        coded = np.zeros((b, 2 * t), dtype=np.uint8)
-        for gi, g in enumerate(self.generators):
-            branch = np.zeros((b, t), dtype=np.uint8)
-            for i in range(self.constraint_length):
-                if (g >> (self.constraint_length - 1 - i)) & 1:
-                    branch[:, i:] ^= padded[:, :t - i]
-            coded[:, gi::2] = branch
-        return coded
-
-    def decode(self, llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
-        """Hard info bits from coded-bit LLRs (positive means bit 0).
-
-        Accepts a (batch, 2T) array and runs all batch entries through the
-        trellis together; survivor decisions are packed 64 states to a
-        word.  Traceback starts in the zero state, matching the tail.
-        """
-        llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-        b, width = llrs.shape
-        if width % 2:
-            raise ValueError("LLR count must be even for a rate-1/2 code")
-        t_steps = width // 2
-        mem = self.constraint_length - 1
-        if n_info is None:
-            n_info = t_steps - mem
-        if not 1 <= n_info <= t_steps - mem:
-            raise ValueError("info length inconsistent with LLR length")
-
-        branch_bits, pred, ubit = self._tables()
-        ns = self.n_states
-        if ns != 64:
-            raise NotImplementedError("decision packing assumes 64 states")
-
-        # metric contribution of coded bit c given llr: +llr/2 for c=0
-        sign = 1.0 - 2.0 * branch_bits                     # (2, 2, ns)
-        metrics = np.full((b, ns), _NEG)
-        metrics[:, 0] = 0.0
-        decisions = np.zeros((t_steps, b), dtype=np.uint64)
-        u_of = ubit[None, :]            # input bit entering each next state
-        p0 = pred[:, 0]
-        p1 = pred[:, 1]
-        state_weight = (np.uint64(1) << np.arange(ns, dtype=np.uint64))[None, :]
-        for step in range(t_steps):
-            l0 = llrs[:, 2 * step, None]
-            l1 = llrs[:, 2 * step + 1, None]
-            # branch metric into next state n from predecessor pred[n, d]
-            bm0 = 0.5 * (l0 * sign[0][u_of, p0] + l1 * sign[1][u_of, p0])
-            bm1 = 0.5 * (l0 * sign[0][u_of, p1] + l1 * sign[1][u_of, p1])
-            cand0 = metrics[:, p0] + bm0
-            cand1 = metrics[:, p1] + bm1
-            take1 = cand1 > cand0
-            metrics = np.where(take1, cand1, cand0)
-            decisions[step] = (take1 * state_weight).sum(axis=1, dtype=np.uint64)
-        # traceback from the all-zero terminating state
-        states = np.zeros(b, dtype=np.int64)
-        rows = np.arange(b)
-        out = np.zeros((b, t_steps), dtype=np.uint8)
-        for step in range(t_steps - 1, -1, -1):
-            out[:, step] = ubit[states]
-            d = (decisions[step] >> states.astype(np.uint64)) & np.uint64(1)
-            states = pred[states, d.astype(np.int64)]
-        return out[:, :n_info]
+def _row(j: int) -> int:
+    """Row of [p, q, -p, -q] holding x_j, from the bits (c0, c1) that input
+    0 emits leaving state 2j: c0 sets the sign, c0 != c1 picks q over p."""
+    c0, c1 = (bin(g & (j << 1)).count("1") & 1 for g in _GENERATORS)
+    return 2 * c0 + (c0 ^ c1)
 
 
-def conv_encode(bits: np.ndarray, code: ConvCode | None = None) -> np.ndarray:
+_ROW = np.array([_row(j) for j in range(_HALF)])
+
+
+def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode and zero-terminate; output has 2 * (n + 6) coded bits."""
-    code = code or ConvCode()
     arr = np.asarray(bits)
-    coded = code.encode(arr)
+    rows = np.atleast_2d(arr.astype(np.uint8))
+    b, n = rows.shape
+    t = n + TAIL_BITS
+    padded = np.zeros((b, t), dtype=np.uint8)
+    padded[:, :n] = rows
+    coded = np.zeros((b, 2 * t), dtype=np.uint8)
+    for gi, g in enumerate(_GENERATORS):
+        branch = np.zeros((b, t), dtype=np.uint8)
+        for i in range(TAIL_BITS + 1):
+            if (g >> (TAIL_BITS - i)) & 1:
+                branch[:, i:] ^= padded[:, :t - i]
+        coded[:, gi::2] = branch
     return coded[0] if arr.ndim == 1 else coded
 
 
-def viterbi_decode(llrs: np.ndarray, n_info: int | None = None,
-                   code: ConvCode | None = None) -> np.ndarray:
-    code = code or ConvCode()
-    arr = np.asarray(llrs)
-    decoded = code.decode(arr, n_info=n_info)
-    if arr.ndim == 1 and decoded.ndim > 1:
-        return decoded[0]
-    return decoded
+def viterbi_decode(llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
+    """Hard info bits from coded-bit LLRs (positive means bit 0).
+
+    Accepts one codeword or a (batch, 2T) array and runs all batch
+    entries through the trellis together.  Ties keep the even
+    predecessor.  Each step's decisions are packed eight codewords to a
+    byte, 8 bytes per codeword.  Traceback starts in the zero state,
+    matching the tail.
+    """
+    arr = np.asarray(llrs, dtype=np.float64)
+    rows = np.atleast_2d(arr)
+    b, width = rows.shape
+    if width % 2:
+        raise ValueError("LLR count must be even for a rate-1/2 code")
+    t_steps = width // 2
+    if n_info is None:
+        n_info = t_steps - TAIL_BITS
+    if not 1 <= n_info <= t_steps - TAIL_BITS:
+        raise ValueError("info length inconsistent with LLR length")
+
+    # state-major arrays: row s holds state s of every codeword
+    l0, l1 = rows[:, 0::2].T, rows[:, 1::2].T
+    pq = np.empty((t_steps, 2, b))
+    np.add(l0, l1, out=pq[:, 0])
+    np.subtract(l0, l1, out=pq[:, 1])
+    pq *= 0.5
+    metrics = np.full((2 * _HALF, b), _NEG)
+    metrics[0] = 0.0
+    decisions = np.empty((t_steps, 2 * _HALF, (b + 7) // 8), dtype=np.uint8)
+    for step in range(t_steps):
+        x = np.concatenate((pq[step], -pq[step]))[_ROW]
+        even, odd = metrics[0::2], metrics[1::2]
+        stay = np.concatenate((even + x, even - x))     # from 2j
+        flip = np.concatenate((odd - x, odd + x))       # from 2j + 1
+        metrics = np.maximum(stay, flip)
+        decisions[step] = np.packbits(flip > stay, axis=1, bitorder="little")
+    # traceback from the all-zero terminating state
+    states = np.zeros(b, dtype=np.intp)
+    cols = np.arange(b)
+    byte, bit = cols >> 3, cols & 7
+    out = np.empty((b, t_steps), dtype=np.uint8)
+    for step in range(t_steps - 1, -1, -1):
+        out[:, step] = states >> (TAIL_BITS - 1)
+        d = (decisions[step, states, byte] >> bit) & 1
+        states = ((states & (_HALF - 1)) << 1) | d
+    out = out[:, :n_info]
+    return out[0] if arr.ndim == 1 else out

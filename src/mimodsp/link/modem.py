@@ -46,7 +46,6 @@ class Constellation:
         raw = _axis_levels(axis_bits)
         norm = np.sqrt(2.0 * np.mean(raw ** 2))
         levels = raw / norm
-        n_axis = 1 << axis_bits
         labels = np.arange(1 << bps)
         i_label, q_label = _split_axis_labels(labels, axis_bits)
         points = levels[i_label] + 1j * levels[q_label]

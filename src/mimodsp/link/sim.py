@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from ..equalization import (DETECTORS, apply_precoder, build_uplink_detector,
 from ..impairments import (CircuitErrorModel, PaModel, evm_db, inject_errors,
                            pa_apply, quantize_adc)
 from ..numerics import FxpOverlay
-from .coding import ConvCode, conv_encode, viterbi_decode
+from .coding import TAIL_BITS, conv_encode, viterbi_decode
 from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
 
 __all__ = [
@@ -86,7 +86,7 @@ class SimConfig:
             errs.append("frames: must be positive")
         if self.coded and known_const:
             nb = self.coherence_uses * self._bps()
-            if nb % 2 or nb // 2 - ConvCode().tail_bits < 1:
+            if nb % 2 or nb // 2 - TAIL_BITS < 1:
                 errs.append("coherence_uses: block too short for a "
                             "zero-terminated rate-1/2 codeword")
         for name in ("signal_fraction_bits", "operator_fraction_bits"):
@@ -121,7 +121,7 @@ class SimConfig:
 
     def info_bits_per_stream(self) -> int:
         nb = self.coherence_uses * self._bps()
-        return nb // 2 - ConvCode().tail_bits if self.coded else nb
+        return nb // 2 - TAIL_BITS if self.coded else nb
 
     def overlay(self) -> Optional[FxpOverlay]:
         if self.signal_fraction_bits is None:

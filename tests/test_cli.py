@@ -49,6 +49,12 @@ _TINY_BER = {
     "seed": 7,
 }
 
+_TINY_EVM = {"experiment": "evm_vs_m", "m_list": [4, 6], "k": 2,
+             "trials": 2, "uses": 8}
+_TINY_TABLE = {"experiment": "complexity_table", "m": 16, "k_list": [4],
+               "algorithms": ["nsa", "chd"]}
+_TINY_CALIBRATION = {"experiment": "calibration", "m": 4, "k": 2, "trials": 2}
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", sorted(p.name for p in
@@ -171,6 +177,29 @@ class TestValidationFailures:
     def test_semantic_error_from_sim_config(self, tmp_path, capsys):
         payload = dict(_TINY_BER, k=16)
         self._expect_failure(tmp_path, capsys, payload, "exceed")
+
+    # each of these used to pass validation and then fail at run time,
+    # or run on a silently replaced value and write a nonsense CSV
+    @pytest.mark.parametrize("payload, fragment", [
+        (dict(_TINY_EVM, constellation="8psk"), "constellation: unknown"),
+        (dict(_TINY_EVM, uses=0), "uses: must be at least 1"),
+        (dict(_TINY_EVM, k=-2), "k: must be at least 1"),
+        (dict(_TINY_EVM, k=0), "k: must be at least 1"),
+        (dict(_TINY_EVM, m_ref=0), "m_ref: must be at least 1"),
+        (dict(_TINY_EVM, m_ref=-4), "m_ref: must be at least 1"),
+        (dict(_TINY_EVM, pa={"a_1db": -1.0}), "pa: compression amplitude"),
+        (dict(_TINY_TABLE, m=0, k_list=[1]), "m: must be at least 1"),
+        (dict(_TINY_TABLE, k_list=[0, 4]), "k_list: entries must be at least"),
+        (dict(_TINY_TABLE, nsa_order=0), "nsa_order:"),
+        (dict(_TINY_TABLE, nsa_order=0, algorithms=["cd"]), "nsa_order:"),
+        (dict(_TINY_TABLE, coherence_uses=0),
+         "coherence_uses: must be at least 1"),
+        (dict(_TINY_CALIBRATION, m=0, k=1), "m: must be at least 1"),
+        (dict(_TINY_CALIBRATION, k=0), "k: must be at least 1"),
+    ])
+    def test_rejected_before_running(self, tmp_path, capsys, payload,
+                                     fragment):
+        self._expect_failure(tmp_path, capsys, payload, fragment)
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.yaml"]) == 1

@@ -1,13 +1,24 @@
 """Zero-terminated (171, 133) convolutional code and batched Viterbi."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from mimodsp import ConvCode, conv_encode, viterbi_decode
+from mimodsp import conv_encode, viterbi_decode
+from mimodsp.link.coding import _ROW, TAIL_BITS
+
+GENERATORS = (0o171, 0o133)
 
 
 def _llr_from_bits(coded):
     """Noiseless LLRs: positive favors bit 0."""
     return 1.0 - 2.0 * coded.astype(np.float64)
+
+
+def _branch_bits(u, state):
+    """Coded bits for input ``u`` leaving ``state``, from the register."""
+    reg = (u << 6) | state
+    return [bin(g & reg).count("1") & 1 for g in GENERATORS]
 
 
 class TestEncoder:
@@ -37,9 +48,15 @@ class TestEncoder:
             np.testing.assert_array_equal(coded[row], conv_encode(bits[row]))
 
     def test_trellis_constants(self):
-        code = ConvCode()
-        assert code.n_states == 64
-        assert code.tail_bits == 6
+        assert TAIL_BITS == 6
+
+    def test_matches_shift_register(self, rng):
+        bits = rng.integers(0, 2, 90).astype(np.uint8)
+        state, want = 0, []
+        for u in list(bits) + [0] * 6:
+            want += _branch_bits(int(u), state)
+            state = ((int(u) << 6) | state) >> 1
+        np.testing.assert_array_equal(conv_encode(bits), want)
 
 
 class TestDecoder:
@@ -98,8 +115,49 @@ class TestDecoder:
         with pytest.raises(ValueError):
             viterbi_decode(llrs, n_info=11)
 
-    def test_other_memory_orders_unsupported(self):
-        short = ConvCode(generators=(0o7, 0o5), constraint_length=3)
-        coded = short.encode(np.array([1, 0, 1], dtype=np.uint8))
-        with pytest.raises(NotImplementedError):
-            short.decode(_llr_from_bits(coded))
+    def test_butterfly_layout(self, rng):
+        # predecessors 2j, 2j+1 feed j (input 0) and j+32 (input 1); the
+        # four branches carry +x_j, -x_j, -x_j, +x_j, where x_j is the
+        # metric of input 0 leaving 2j and the decoder takes it from
+        # [p, q, -p, -q] at row _ROW[j]
+        l0, l1 = rng.standard_normal(2)
+        signed = 0.5 * np.array([l0 + l1, l0 - l1, -(l0 + l1), -(l0 - l1)])
+
+        def metric(u, state):
+            c0, c1 = _branch_bits(u, state)
+            return 0.5 * (l0 * (1 - 2 * c0) + l1 * (1 - 2 * c1))
+
+        for j in range(32):
+            x = metric(0, 2 * j)
+            assert signed[_ROW[j]] == x
+            for u, prev, sign in ((0, 2 * j + 1, -1), (1, 2 * j, -1),
+                                  (1, 2 * j + 1, 1)):
+                assert ((u << 6) | prev) >> 1 == j + 32 * u
+                assert metric(u, prev) == sign * x
+
+
+def _pin_inputs():
+    rng = np.random.default_rng(2468)
+    bits = rng.integers(0, 2, size=(48, 250)).astype(np.uint8)
+    coded = conv_encode(bits)
+    llrs = 2.0 * (1.0 - 2.0 * coded) + 1.8 * rng.standard_normal(coded.shape)
+    return bits, llrs
+
+
+# decoded bits recorded from the gathered add-compare-select decoder that
+# the butterfly replaced: bit errors and a digest of the output
+@pytest.mark.parametrize("case, n_errors, digest", [
+    ("noisy", 445, "2a5fbe91570bc399"),
+    ("integer", 519, "c48aae4a37092bf7"),    # rounded LLRs: many exact ties
+    ("one_dim", 12, "9f322a0b7100268e"),
+])
+def test_decoded_bits_pinned(case, n_errors, digest):
+    bits, llrs = _pin_inputs()
+    if case == "integer":
+        llrs = np.rint(llrs)
+    elif case == "one_dim":
+        bits, llrs = bits[7], llrs[7]
+    decoded = viterbi_decode(llrs)
+    assert decoded.shape == bits.shape
+    assert int(np.count_nonzero(decoded != bits)) == n_errors
+    assert hashlib.sha256(decoded.tobytes()).hexdigest()[:16] == digest
