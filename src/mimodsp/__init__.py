@@ -16,11 +16,10 @@ from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
                         aggregate_mf, centralized_link_load, group_link_load,
                         interconnect_rate, local_gram, local_mf, partition,
                         split_rows)
-from .equalization import (LinearCombiner, MqrdDetection, NsaConfig,
-                           NsaDivergenceWarning, UplinkDetector, WnsaConfig,
-                           apply_precoder, build_uplink_detector, cd_detect,
-                           chd_detect, combiner_exact, fit_wnsa_weights,
-                           mqrd_detect, nsa_inverse, post_combining_sinr,
+from .equalization import (LinearCombiner, NsaDivergenceWarning,
+                           UplinkDetector, WnsaConfig, apply_precoder,
+                           build_uplink_detector, combiner_exact,
+                           fit_wnsa_weights, nsa_inverse, post_combining_sinr,
                            precode, wnsa_inverse)
 from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           build_nonreciprocal, calibrate, draw_front_end_set,
@@ -28,8 +27,9 @@ from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           inject_errors, mui_db, pa_apply,
                           per_antenna_sddr_db, quantize_adc, sddr_db)
 from .link import (BerResult, Constellation, SimConfig, conv_encode, demap_hard,
-                   demap_soft, map_bits, run_downlink_evm, run_outage_study,
-                   run_uplink_ber, snr_at_ber, viterbi_decode)
+                   demap_soft, map_bits, run_calibration_study,
+                   run_downlink_evm, run_outage_study, run_uplink_ber,
+                   snr_at_ber, viterbi_decode)
 from .numerics import (FixedPointFormat, FxpOverlay, GivensRotation,
                        NonPositivePivotError, ZeroDiagonalError,
                        back_substitute, cholesky, forward_substitute,

@@ -17,18 +17,15 @@ import sys
 from dataclasses import asdict, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
 import yaml
 
 from . import __version__
-from .channel import draw_iid_rayleigh, hardening_variance, stream_rng
+from .channel import hardening_variance, stream_rng
 from .complexity import ALGORITHMS, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
-from .equalization import precode
-from .impairments import (PaModel, build_nonreciprocal, calibrate,
-                          draw_front_end_set, mui_db)
-from .link import (SimConfig, run_downlink_evm, run_outage_study,
-                   run_uplink_ber)
+from .impairments import PaModel
+from .link import (SimConfig, run_calibration_study, run_downlink_evm,
+                   run_outage_study, run_uplink_ber)
 from .link.modem import _ORDERS
 
 log = logging.getLogger("mimodsp")
@@ -63,9 +60,10 @@ class _Schema:
                 self.errors.append(f"{key}: required")
             return default
         val = self.raw[key]
-        if typ is not None and val is not None:
+        if typ is not None:
             try:
-                if typ is int and isinstance(val, bool):
+                # an explicit null would skip the range checks below
+                if val is None or (typ is int and isinstance(val, bool)):
                     raise TypeError
                 val = typ(val)
             except (TypeError, ValueError):
@@ -231,8 +229,8 @@ def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
     s.finish()
 
     def run():
-        res = run_outage_study(cfg, fractions, policy or "exclude",
-                               target or 1e-3, workers=workers)
+        res = run_outage_study(cfg, fractions, policy, target,
+                               workers=workers)
         rows = [(p.fraction, "" if math.isinf(p.snr_db) else f"{p.snr_db:.4f}",
                  "" if math.isinf(p.penalty_db) else f"{p.penalty_db:.4f}",
                  p.status) for p in res.points]
@@ -356,25 +354,12 @@ def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
         s.errors.append(f"k: {k} users exceed {m} antennas")
     s.finish()
 
-    def _mui(g_for_precoder: np.ndarray, downlink: np.ndarray) -> float:
-        a = precode(g_for_precoder, precoder)
-        return mui_db(downlink.T @ a.matrix)
-
     def run():
-        cal = {r: [] for r in residuals}
-        raw = []
-        for t in range(trials):
-            g = draw_iid_rayleigh(m, k, stream_rng(seed, t, 0))
-            fe = draw_front_end_set(m, k, gain, phase, stream_rng(seed, t, 1))
-            uplink, downlink = build_nonreciprocal(g, fe)
-            raw.append(_mui(uplink, downlink))
-            for r in residuals:
-                w = calibrate(fe, residual_error_db=r,
-                              rng=stream_rng(seed, t, 2))
-                cal[r].append(_mui(w[:, None] * uplink, downlink))
-        rows = [("uncalibrated", "", f"{np.median(raw):.4f}")]
-        for r in residuals:
-            rows.append(("calibrated", r, f"{np.median(cal[r]):.4f}"))
+        raw, cal = run_calibration_study(m, k, gain, phase, residuals, trials,
+                                         precoder=precoder, seed=seed)
+        rows = [("uncalibrated", "", f"{raw:.4f}")]
+        rows.extend(("calibrated", r, f"{c:.4f}")
+                    for r, c in zip(residuals, cal))
         return ("label", "residual_error_db", "median_mui_db"), rows
 
     return run

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .numerics import (
 
 __all__ = [
     "LinearCombiner",
-    "NsaConfig",
     "WnsaConfig",
     "NsaDivergenceWarning",
     "combiner_exact",
@@ -42,10 +41,6 @@ __all__ = [
     "nsa_inverse",
     "wnsa_inverse",
     "fit_wnsa_weights",
-    "cd_detect",
-    "chd_detect",
-    "mqrd_detect",
-    "MqrdDetection",
     "DETECTORS",
     "UplinkDetector",
     "build_uplink_detector",
@@ -63,30 +58,15 @@ class LinearCombiner:
     """Bank of per-user combining or precoding vectors (columns of A)."""
 
     matrix: np.ndarray
-    alpha: np.ndarray
-    method: str
-
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[1]
 
     def combine(self, y: np.ndarray) -> np.ndarray:
         """Per-user symbol estimates ``A^H y`` for one or many uses."""
         return np.conj(self.matrix.T) @ y
 
 
-@dataclass(frozen=True)
-class NsaConfig:
-    """Truncation order for the diagonally preconditioned Neumann series."""
-
-    order: int
-    preconditioner: str = "diagonal"
-
-    def __post_init__(self):
-        if not 0 <= self.order <= 10:
-            raise ValueError("series order must be within 0..10")
-        if self.preconditioner != "diagonal":
-            raise ValueError(f"unsupported preconditioner {self.preconditioner!r}")
+def _check_order(order: int) -> None:
+    if not 0 <= order <= 10:
+        raise ValueError("series order must be within 0..10")
 
 
 @dataclass(frozen=True)
@@ -97,8 +77,7 @@ class WnsaConfig:
     weights: tuple = ()
 
     def __post_init__(self):
-        if not 0 <= self.order <= 10:
-            raise ValueError("series order must be within 0..10")
+        _check_order(self.order)
         if len(self.weights) != self.order + 1:
             raise ValueError("need order + 1 weights")
 
@@ -137,7 +116,7 @@ def combiner_exact(g_hat: np.ndarray, method: str,
     if np.any(gains.real <= 0):
         raise np.linalg.LinAlgError("combiner gain collapsed; channel rank deficient?")
     alpha = 1.0 / gains.real
-    return LinearCombiner(matrix=raw * alpha[None, :], alpha=alpha, method=method)
+    return LinearCombiner(matrix=raw * alpha[None, :])
 
 
 def precode(g_hat: np.ndarray, method: str, total_power: float = 1.0,
@@ -165,8 +144,7 @@ def precode(g_hat: np.ndarray, method: str, total_power: float = 1.0,
         raise np.linalg.LinAlgError("precoder gain collapsed; channel rank deficient?")
     unit = raw / gains[None, :]
     scale = np.sqrt(total_power) / np.linalg.norm(unit)
-    alpha = scale / gains.real
-    return LinearCombiner(matrix=unit * scale, alpha=alpha, method=method)
+    return LinearCombiner(matrix=unit * scale)
 
 
 def apply_precoder(precoder: LinearCombiner, x: np.ndarray) -> np.ndarray:
@@ -254,20 +232,19 @@ def _wnsa_inverse_quantized(zbar, cfg: WnsaConfig, ov: FxpOverlay):
     return dinv_sqrt[:, None] * acc * dinv_sqrt[None, :]
 
 
-def nsa_inverse(z: np.ndarray, cfg: NsaConfig | int) -> np.ndarray:
+def nsa_inverse(z: np.ndarray, order: int) -> np.ndarray:
     """Truncated Neumann inverse ``sum_n (I - Zd^-1 Z)^n Zd^-1``.
 
     ``Zd`` is the diagonal of ``Z``.  The series converges when the
     spectral radius of the iteration matrix is below one, which holds when
     the system is diagonally dominant; a power-iteration estimate is
     checked and :class:`NsaDivergenceWarning` is emitted otherwise (the
-    truncated sum is still returned).
+    truncated sum is still returned).  ``order`` must lie within 0..10.
     """
-    if isinstance(cfg, int):
-        cfg = NsaConfig(order=cfg)
+    _check_order(order)
     z = np.asarray(z)
     _check_radius(z)
-    return _nsa_inverse_quantized(z, cfg.order, _IDENTITY)
+    return _nsa_inverse_quantized(z, order, _IDENTITY)
 
 
 def fit_wnsa_weights(z: np.ndarray, order: int, samples: int = 31) -> WnsaConfig:
@@ -304,56 +281,14 @@ def wnsa_inverse(z: np.ndarray, cfg: WnsaConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# one-shot iterative and factorization-based detectors
+# per-coherence-block detectors
 # ---------------------------------------------------------------------------
-
-
-def _ls_objective(g, y, x, noise_var):
-    r = y - g @ x
-    return np.sum(np.abs(r) ** 2, axis=0) + noise_var * np.sum(np.abs(x) ** 2, axis=0)
 
 
 def _columns(y):
     """Receive vectors as complex columns, and whether ``y`` was one vector."""
     y = np.asarray(y, dtype=complex)
     return (y[:, None], True) if y.ndim == 1 else (y, False)
-
-
-def cd_detect(g_hat: np.ndarray, y: np.ndarray, noise_var: float,
-              sweeps: int = 3, overlay: Optional[FxpOverlay] = None,
-              check_objective: bool = False) -> np.ndarray:
-    """Coordinate descent on ``||y - G x||^2 + N0 ||x||^2`` from ``x = 0``.
-
-    Users are updated round-robin; each step sets coordinate i to
-    ``g_i^H (y - sum_{j != i} g_j x_j) / (||g_i||^2 + N0)``, the exact
-    per-coordinate minimizer, so the objective never increases in double
-    precision (asserted after every update when ``check_objective``).
-    The method never forms the Gram matrix: it tracks the antenna-domain
-    residual, which is what keeps its per-realization hardware cost at
-    zero.
-
-    Under an overlay, stored quantities are rounded: the channel columns
-    and inverse column energies once per realization, the residual (held
-    at an automatic-gain scale), the coordinate corrections, and the
-    estimates every update.
-    """
-    if sweeps < 1:
-        raise ValueError("need at least one sweep")
-    if noise_var <= 0:
-        raise ValueError("coordinate descent needs a positive noise variance")
-    if check_objective and overlay is not None:
-        raise ValueError("objective check applies to the double-precision path")
-    det = UplinkDetector("cd", g_hat, noise_var, overlay, cd_sweeps=sweeps)
-    if not check_objective:
-        return det.detect(y)
-    yc, squeeze = _columns(y)
-    prev = np.sum(np.abs(yc) ** 2, axis=0)      # the objective at x = 0
-    for xhat in det._cd_updates(yc):
-        cur = _ls_objective(det.g_hat, yc, xhat, noise_var)
-        if not np.all(cur <= prev * (1 + 1e-9) + 1e-12):
-            raise AssertionError("objective increased during coordinate descent")
-        prev = cur
-    return xhat[:, 0] if squeeze else xhat
 
 
 def _regularized_gram(g, noise_var, ov):
@@ -367,50 +302,6 @@ def _matched_filter(g, y, ov):
     return ov.q_signal(np.conj(g.T) @ y / g.shape[0])
 
 
-def chd_detect(g_hat: np.ndarray, y: np.ndarray, mode: str = "zf",
-               noise_var: float = 0.0,
-               overlay: Optional[FxpOverlay] = None) -> np.ndarray:
-    """Solve the normal equations by Cholesky and two triangular sweeps.
-
-    ``mode`` "zf" solves ``G^H G x = G^H y``; "mmse" adds ``noise_var`` on
-    the diagonal.  Internally the system is scaled by 1/M so that the
-    factor's entries are O(1), which is the frame the overlay formats
-    assume.  Factorization failures propagate from the numerics kernels.
-    """
-    mode = mode.lower()
-    if mode not in ("zf", "mmse"):
-        raise ValueError(f"unknown mode {mode!r}")
-    nu = float(noise_var) if mode == "mmse" else 0.0
-    return UplinkDetector("chd", g_hat, nu, overlay).detect(y)
-
-
-class MqrdDetection(NamedTuple):
-    xhat: np.ndarray
-    reconstruction_error: float
-
-
-def mqrd_detect(g_hat: np.ndarray, y: np.ndarray, c_const: float = 1.0,
-                noise_var: float = 0.0,
-                overlay: Optional[FxpOverlay] = None) -> MqrdDetection:
-    """Solve the normal equations via the modified QR triangularization.
-
-    The accumulated row transform T triangularizes the (optionally
-    regularized) Gram; the estimate solves ``R x = T s`` by back
-    substitution.  The decomposition's reconstruction error is reported
-    alongside the estimate because the modified rotations are not exactly
-    unitary.
-    """
-    det = UplinkDetector("mqrd", g_hat, float(noise_var), overlay,
-                         c_const=c_const)
-    return MqrdDetection(xhat=det.detect(y),
-                         reconstruction_error=det.reconstruction_error)
-
-
-# ---------------------------------------------------------------------------
-# per-coherence-block detector objects for link simulations
-# ---------------------------------------------------------------------------
-
-
 DETECTORS = ("mr", "zf", "mmse", "chd", "cd", "nsa", "wnsa", "mqrd")
 
 
@@ -421,10 +312,23 @@ class UplinkDetector:
     Built once per coherence block and then applied to every channel use
     in it; construction covers the per-realization hardware cost
     (Gram, factorization, inverse) and :meth:`detect` the per-use cost.
-    This class is the one implementation of every method in
-    :data:`DETECTORS`; the one-shot functions above are front doors to
-    it.  ``method`` is case-insensitive.  ``reconstruction_error`` holds
-    the modified-QR decomposition error for "mqrd" and is None otherwise.
+    This class, built through :func:`build_uplink_detector`, is the one
+    way to run every method in :data:`DETECTORS`; ``method`` is
+    case-insensitive.
+
+    "chd" and "mqrd" solve the normal equations ``(G^H G + N0 I) x = G^H y``
+    (ZF at ``noise_var = 0``), scaled by 1/M so that the factor's entries
+    are O(1), which is the frame the overlay formats assume; "chd" by
+    Cholesky and two triangular sweeps, "mqrd" by the modified-QR row
+    transform and back substitution.  Factorization failures propagate
+    from the numerics kernels.  ``reconstruction_error`` holds the
+    modified-QR decomposition error for "mqrd", because the modified
+    rotations are not exactly unitary, and is None otherwise.
+
+    "cd" runs ``cd_sweeps`` round-robin sweeps of coordinate descent on
+    ``||y - G x||^2 + N0 ||x||^2`` from ``x = 0`` (see :meth:`_cd_updates`);
+    it needs ``noise_var > 0``.  "nsa" and "wnsa" take the series order
+    ``nsa_order`` within 0..10.
     """
 
     method: str
@@ -442,6 +346,14 @@ class UplinkDetector:
         if method not in DETECTORS:
             raise ValueError(f"unknown detector method {self.method!r}")
         self.method = method
+        if method == "cd":
+            if self.cd_sweeps < 1:
+                raise ValueError("cd_sweeps: need at least one sweep")
+            if self.noise_var <= 0:
+                raise ValueError("coordinate descent needs a positive "
+                                 "noise variance")
+        elif method in ("nsa", "wnsa"):
+            _check_order(self.nsa_order)
         self.g_hat = g = _validate_channel(self.g_hat)
         ov = self.overlay or _IDENTITY
         m = g.shape[0]
@@ -499,6 +411,16 @@ class UplinkDetector:
 
     def _cd_updates(self, yc):
         """The cd sweeps over column-stacked receive vectors ``yc``.
+
+        Each step sets coordinate i to
+        ``g_i^H (y - sum_{j != i} g_j x_j) / (||g_i||^2 + N0)``, the exact
+        per-coordinate minimizer, so in double precision the objective
+        never increases.  The method never forms the Gram matrix: it
+        tracks the antenna-domain residual, which is what keeps its
+        per-realization hardware cost at zero.  Under an overlay the
+        channel columns and inverse column energies are rounded once per
+        realization, and the residual (held at an automatic-gain scale),
+        the coordinate corrections and the estimates every update.
 
         Yields the estimate after every coordinate update; it is the same
         array each time, updated in place.

@@ -1,4 +1,5 @@
-"""Monte-Carlo link studies: coded uplink BER, downlink EVM, fault outage.
+"""Monte-Carlo link studies: coded uplink BER, downlink EVM, reciprocity
+calibration, fault outage.
 
 Frame model: one frame is one coherence block.  The channel is drawn
 once, estimated from pilots, the detector is built once (per-realization
@@ -14,9 +15,11 @@ transmit symbols and unit-variance channel entries per receive antenna.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,15 +27,16 @@ import numpy as np
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
 from ..equalization import (DETECTORS, apply_precoder, build_uplink_detector,
                             precode)
-from ..impairments import (CircuitErrorModel, PaModel, evm_db, inject_errors,
-                           pa_apply, quantize_adc)
+from ..impairments import (CircuitErrorModel, PaModel, build_nonreciprocal,
+                           calibrate, draw_front_end_set, evm_db,
+                           inject_errors, mui_db, pa_apply, quantize_adc)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
 from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
 
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
-    "EvmPoint", "run_downlink_evm",
+    "EvmPoint", "run_downlink_evm", "run_calibration_study",
     "OutagePoint", "OutageResult", "run_outage_study", "snr_at_ber",
 ]
 
@@ -178,8 +182,8 @@ def _apply_front_end(cfg: SimConfig, frame: int, y, g_hat):
 
 
 def _simulate_frames(cfg: SimConfig, snr_db: float,
-                     frames: Sequence[int]) -> Tuple[int, int]:
-    """Bit errors and bit count for a frame range at one SNR point."""
+                     frames: Sequence[int]) -> int:
+    """Bit errors over a frame range at one SNR point."""
     const = Constellation.from_name(cfg.constellation)
     noise_var = 10.0 ** (-snr_db / 10.0)
     overlay = cfg.overlay()
@@ -207,8 +211,33 @@ def _simulate_frames(cfg: SimConfig, snr_db: float,
         refs = np.concatenate(ref_rows, axis=0)
         decoded = viterbi_decode(llrs, n_info=n_info)
         errors = int(np.count_nonzero(decoded != refs))
-    total = len(frames) * cfg.k * n_info
-    return errors, total
+    return errors
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread in each worker process.
+
+    The workers already fill the cores.  A BLAS thread pool in each of
+    them oversubscribes the cores, and its spinning threads make the same
+    call take from one to three times its single-thread time.  numpy has
+    no call for this, so the loaded OpenBLAS is told directly (Linux
+    only; elsewhere this does nothing).  OpenBLAS's vector-matrix product
+    sums in an order that depends on its thread count, so float cd and
+    chd estimates can differ in the last bit from the serial path's, as
+    they already differ between hosts with different core counts.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads64_"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
 
 
 def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
@@ -216,24 +245,23 @@ def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
     cfg.validate()
     if workers < 1:
         raise ValueError("workers: must be positive")
-    chunks = None
-    if workers > 1:
-        bounds = np.linspace(0, cfg.frames, workers + 1).astype(int)
-        chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-                  if hi > lo]
+    bounds = np.linspace(0, cfg.frames, workers + 1).astype(int)
+    chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+              if hi > lo]
+    # one task per (SNR point, frame chunk), all run by one pool
+    n = len(chunks)
+    args = (repeat(cfg), [snr for snr in cfg.snr_db for _ in chunks],
+            chunks * len(cfg.snr_db))
+    if n == 1:
+        task_errors = list(map(_simulate_frames, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=n,
+                                 initializer=_one_blas_thread) as pool:
+            task_errors = list(pool.map(_simulate_frames, *args))
+    total = cfg.frames * cfg.k * cfg.info_bits_per_stream()
     points = []
-    for snr in cfg.snr_db:
-        if chunks is None:
-            errors, total = _simulate_frames(cfg, snr, range(cfg.frames))
-        else:
-            errors = total = 0
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                futures = [pool.submit(_simulate_frames, cfg, snr, ch)
-                           for ch in chunks]
-                for fut in futures:
-                    e, t = fut.result()
-                    errors += e
-                    total += t
+    for i, snr in enumerate(cfg.snr_db):
+        errors = sum(task_errors[i * n:(i + 1) * n])
         ber = errors / total
         stderr = math.sqrt(max(ber * (1.0 - ber), 0.0) / total)
         points.append(BerPoint(snr_db=float(snr), n_bits=total,
@@ -296,6 +324,38 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
                 acc += 10.0 ** (evm_db(x[user], y[user]) / 10.0)
         out.append(EvmPoint(m=m, evm_db=10.0 * math.log10(acc / (trials * k))))
     return tuple(out)
+
+
+def run_calibration_study(m: int, k: int, gain_bound_db: float,
+                          phase_bound_deg: float,
+                          residuals: Sequence[float], trials: int,
+                          precoder: str = "zf",
+                          seed: int = 0) -> Tuple[float, Tuple[float, ...]]:
+    """Median downlink MUI without and with reciprocity calibration.
+
+    Each trial draws a channel and per-chain gain/phase mismatches within
+    the given bounds, builds the precoder from the uplink estimate, and
+    measures the multi-user interference at the users.  Calibration
+    multiplies the uplink estimate by the t/r weights, perturbed by an
+    error of each ``residuals`` entry's relative power (dB).  Returns the
+    uncalibrated median in dB and one calibrated median per residual.
+    """
+    def mui(g_for_precoder, downlink):
+        a = precode(g_for_precoder, precoder)
+        return mui_db(downlink.T @ a.matrix)
+
+    cal = {r: [] for r in residuals}
+    raw = []
+    for t in range(trials):
+        g = draw_iid_rayleigh(m, k, stream_rng(seed, t, 0))
+        fe = draw_front_end_set(m, k, gain_bound_db, phase_bound_deg,
+                                stream_rng(seed, t, 1))
+        uplink, downlink = build_nonreciprocal(g, fe)
+        raw.append(mui(uplink, downlink))
+        for r in residuals:
+            w = calibrate(fe, residual_error_db=r, rng=stream_rng(seed, t, 2))
+            cal[r].append(mui(w[:, None] * uplink, downlink))
+    return np.median(raw), tuple(np.median(cal[r]) for r in residuals)
 
 
 class OutagePoint(NamedTuple):

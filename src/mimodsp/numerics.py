@@ -131,11 +131,10 @@ class FxpOverlay:
 
     @classmethod
     def from_fraction_bits(cls, signal_bits: Optional[int],
-                           operator_bits: Optional[int] = None,
-                           integer_bits: int = 3) -> "FxpOverlay":
+                           operator_bits: Optional[int] = None) -> "FxpOverlay":
         op_bits = signal_bits if operator_bits is None else operator_bits
-        sig = None if signal_bits is None else FixedPointFormat.for_unit_range(signal_bits, integer_bits)
-        op = None if op_bits is None else FixedPointFormat.for_unit_range(op_bits, integer_bits)
+        sig = None if signal_bits is None else FixedPointFormat.for_unit_range(signal_bits)
+        op = None if op_bits is None else FixedPointFormat.for_unit_range(op_bits)
         return cls(signal=sig, operator=op)
 
     def q_signal(self, x):

@@ -133,6 +133,24 @@ class TestRunAnalytic:
         assert r_ofdm == pytest.approx(16.8e6, rel=1e-3)
         assert r_total == pytest.approx(40.32e9, rel=1e-3)
 
+    def test_calibration_rows_pinned(self, tmp_path):
+        # rows of the shipped config, recorded when the Monte-Carlo loop
+        # still lived in the CLI
+        out = tmp_path / "calibration.csv"
+        assert main(["run", "--config", str(CONFIG_DIR / "calibration.yaml"),
+                     "--out", str(out)]) == 0
+        body = [line for line in out.read_text().splitlines()
+                if not line.startswith("# ")]
+        assert body == [
+            "label,residual_error_db,median_mui_db",
+            "uncalibrated,,-19.7655",
+            "calibrated,-60.0,-61.0679",
+            "calibrated,-50.0,-51.0704",
+            "calibrated,-40.0,-41.0785",
+            "calibrated,-30.0,-31.0854",
+            "calibrated,-20.0,-21.0390",
+        ]
+
     def test_hardening_run(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "experiment": "hardening",
@@ -196,6 +214,13 @@ class TestValidationFailures:
          "coherence_uses: must be at least 1"),
         (dict(_TINY_CALIBRATION, m=0, k=1), "m: must be at least 1"),
         (dict(_TINY_CALIBRATION, k=0), "k: must be at least 1"),
+        (dict(_TINY_EVM, uses=None), "uses: expected int, got None"),
+        ({"experiment": "hardening", "m_list": [4], "trials": None},
+         "trials: expected int, got None"),
+        (dict(_TINY_BER, frames=None), "frames: expected int, got None"),
+        (dict(_TINY_BER, experiment="outage", fractions=[0.1],
+              policy="exclude", target_ber=None),
+         "target_ber: expected float, got None"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
-from mimodsp.equalization import (LinearCombiner, NsaConfig,
-                                  NsaDivergenceWarning, WnsaConfig,
-                                  apply_precoder, build_uplink_detector,
-                                  cd_detect, chd_detect, combiner_exact,
-                                  fit_wnsa_weights, mqrd_detect, nsa_inverse,
+from mimodsp.equalization import (NsaDivergenceWarning, apply_precoder,
+                                  build_uplink_detector, combiner_exact,
+                                  fit_wnsa_weights, nsa_inverse,
                                   post_combining_sinr, precode, wnsa_inverse)
 from mimodsp.numerics import FxpOverlay, qrd
 
@@ -103,7 +101,7 @@ class TestSinr:
 class TestNsa:
     def test_order_zero_is_diagonal_inverse(self, rng):
         z = gram(_chan(rng, 128, 8))
-        approx = nsa_inverse(z, NsaConfig(order=0))
+        approx = nsa_inverse(z, 0)
         assert np.allclose(approx, np.diag(1.0 / np.diag(z).real), atol=1e-12)
 
     def test_truncation_error_identity(self, rng):
@@ -124,10 +122,11 @@ class TestNsa:
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_order_bounds(self):
+        z = 4.0 * np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
-            NsaConfig(order=11)
+            nsa_inverse(z, 11)
         with pytest.raises(ValueError):
-            NsaConfig(order=-1)
+            nsa_inverse(z, -1)
 
     def test_divergence_warning_when_crowded(self, master_seed):
         z = gram(draw_iid_rayleigh(16, 16, stream_rng(master_seed)))
@@ -173,68 +172,85 @@ def _mmse_solution(g, y, nv):
     return np.linalg.solve(gram(g) + nv * np.eye(k), np.conj(g.T) @ y)
 
 
+def _objective(g, y, x, nv):
+    r = y - g @ x
+    return np.sum(np.abs(r) ** 2, axis=0) + nv * np.sum(np.abs(x) ** 2, axis=0)
+
+
 class TestCd:
     def test_converges_to_regularized_solution(self, rng):
         g, _, y = _sim_problem(rng)
         nv = 0.05
-        xhat = cd_detect(g, y, nv, sweeps=200)
+        xhat = build_uplink_detector(g, "cd", nv, cd_sweeps=200).detect(y)
         assert np.allclose(xhat, _mmse_solution(g, y, nv), atol=1e-8)
 
     def test_objective_never_increases(self, rng):
+        # every coordinate update is an exact minimizer, so the objective
+        # cannot rise after any single update in double precision
         g, _, y = _sim_problem(rng)
-        cd_detect(g, y, 0.1, sweeps=6, check_objective=True)
+        nv = 0.1
+        det = build_uplink_detector(g, "cd", nv, cd_sweeps=6)
+        prev = np.sum(np.abs(y) ** 2, axis=0)      # the objective at x = 0
+        updates = 0
+        for xhat in det._cd_updates(y):
+            cur = _objective(g, y, xhat, nv)
+            assert np.all(cur <= prev * (1 + 1e-9) + 1e-12)
+            prev = cur
+            updates += 1
+        assert updates == 6 * g.shape[1]
 
     def test_more_sweeps_reduce_error(self, rng):
         g, _, y = _sim_problem(rng)
         nv = 0.05
         ref = _mmse_solution(g, y, nv)
-        e1 = np.linalg.norm(cd_detect(g, y, nv, sweeps=1) - ref)
-        e3 = np.linalg.norm(cd_detect(g, y, nv, sweeps=3) - ref)
+        e1 = np.linalg.norm(
+            build_uplink_detector(g, "cd", nv, cd_sweeps=1).detect(y) - ref)
+        e3 = np.linalg.norm(
+            build_uplink_detector(g, "cd", nv, cd_sweeps=3).detect(y) - ref)
         assert e3 < e1
 
     def test_requires_positive_noise(self, rng):
         g, _, y = _sim_problem(rng)
-        with pytest.raises(ValueError):
-            cd_detect(g, y, 0.0)
+        with pytest.raises(ValueError, match="noise variance"):
+            build_uplink_detector(g, "cd", 0.0)
 
     def test_single_vector_shape(self, rng):
         g, _, y = _sim_problem(rng, n=1)
-        out = cd_detect(g, y[:, 0], 0.1)
+        out = build_uplink_detector(g, "cd", 0.1).detect(y[:, 0])
         assert out.shape == (8,)
 
 
 class TestChd:
     def test_zf_matches_pinv(self, rng):
         g, _, y = _sim_problem(rng)
-        xhat = chd_detect(g, y, mode="zf")
+        xhat = build_uplink_detector(g, "chd", 0.0).detect(y)
         assert np.allclose(xhat, np.linalg.pinv(g) @ y, atol=1e-9)
 
     def test_mmse_matches_closed_form(self, rng):
         g, _, y = _sim_problem(rng)
         nv = 0.2
-        xhat = chd_detect(g, y, mode="mmse", noise_var=nv)
+        xhat = build_uplink_detector(g, "chd", nv).detect(y)
         assert np.allclose(xhat, _mmse_solution(g, y, nv), atol=1e-9)
-
-    def test_unknown_mode(self, rng):
-        g, _, y = _sim_problem(rng)
-        with pytest.raises(ValueError):
-            chd_detect(g, y, mode="qr")
 
 
 class TestMqrd:
     def test_close_to_exact_when_dominant(self, rng):
         g, _, y = _sim_problem(rng, m=256, k=8)
-        res = mqrd_detect(g, y)
+        det = build_uplink_detector(g, "mqrd", 0.0)
         ref = np.linalg.pinv(g) @ y
-        rel = np.linalg.norm(res.xhat - ref) / np.linalg.norm(ref)
+        rel = np.linalg.norm(det.detect(y) - ref) / np.linalg.norm(ref)
         assert rel < 0.05
-        assert res.reconstruction_error >= 0.0
+        assert det.reconstruction_error >= 0.0
 
     def test_reports_larger_error_when_crowded(self, master_seed):
         r = stream_rng(master_seed)
-        wide = mqrd_detect(*_sim_problem(np.random.default_rng(r.integers(2**31)), 256, 8)[::2])
-        tight = mqrd_detect(*_sim_problem(np.random.default_rng(r.integers(2**31)), 32, 16)[::2])
-        assert tight.reconstruction_error > wide.reconstruction_error
+
+        def error(m, k):
+            g = _chan(np.random.default_rng(r.integers(2**31)), m, k)
+            return build_uplink_detector(g, "mqrd", 0.0).reconstruction_error
+
+        wide = error(256, 8)
+        assert error(32, 16) > wide
 
 
 class TestUplinkDetector:
@@ -246,11 +262,7 @@ class TestUplinkDetector:
         det = build_uplink_detector(g, method, nv)
         out = det.detect(y)
         assert out.shape == (8, 6)
-        if method == "chd":
-            assert np.allclose(out, chd_detect(g, y, "mmse", nv), atol=1e-10)
-        elif method == "cd":
-            assert np.allclose(out, cd_detect(g, y, nv, sweeps=3), atol=1e-10)
-        elif method in ("mr", "zf", "mmse"):
+        if method in ("mr", "zf", "mmse"):
             ref = combiner_exact(g, method, nv).combine(y)
             assert np.allclose(out, ref, atol=1e-10)
 
@@ -274,6 +286,16 @@ class TestUplinkDetector:
         with pytest.raises(ValueError):
             build_uplink_detector(g, "magic", 0.1)
 
+    @pytest.mark.parametrize("method, kwargs", [
+        ("cd", {"cd_sweeps": 0}),
+        ("nsa", {"nsa_order": -1}),
+        ("nsa", {"nsa_order": 11}),
+    ], ids=["cd_sweeps_0", "nsa_order_-1", "nsa_order_11"])
+    def test_rejects_out_of_range_parameters(self, method, kwargs):
+        g = draw_iid_rayleigh(16, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            build_uplink_detector(g, method, 0.1, **kwargs)
+
     def test_mqrd_keeps_reconstruction_error(self, rng):
         g, _, y = _sim_problem(rng)
         nv = 0.05
@@ -281,7 +303,6 @@ class TestUplinkDetector:
         zbar = (np.conj(g.T) @ g + nv * np.eye(8)) / g.shape[0]
         want = qrd(zbar, mode="modified").reconstruction_error
         assert det.reconstruction_error == want
-        assert mqrd_detect(g, y, noise_var=nv).reconstruction_error == want
         assert build_uplink_detector(g, "chd", nv).reconstruction_error is None
 
     def test_single_use_round_trip_shape(self, rng):

@@ -131,12 +131,13 @@ class TestUplinkBerMechanics:
         assert [p.n_errors for p in a.points] == [p.n_errors for p in b.points]
 
     def test_workers_do_not_change_the_answer(self):
-        cfg = SimConfig(m=8, k=2, snr_db=(-2.0,), coded=True,
+        # 7 frames split unevenly over 2 and 3 workers, at several points
+        cfg = SimConfig(m=8, k=2, snr_db=(-12.0, -9.0, -6.0), coded=True,
                         coherence_uses=128, frames=7, seed=9)
-        serial = run_uplink_ber(cfg, workers=1)
-        parallel = run_uplink_ber(cfg, workers=2)
-        assert [tuple(p) for p in serial.points] == [tuple(p)
-                                                     for p in parallel.points]
+        serial = [tuple(p) for p in run_uplink_ber(cfg, workers=1).points]
+        for workers in (2, 3):
+            parallel = run_uplink_ber(cfg, workers=workers).points
+            assert [tuple(p) for p in parallel] == serial
 
     def test_coding_gain(self):
         base = dict(m=16, k=4, snr_db=(-7.0,), coherence_uses=512,
