@@ -6,6 +6,12 @@ the package version, and the seed, so a run can be reproduced from its
 output alone.  ``mimodsp validate --config cfg.yaml`` dry-runs the
 schema checks.  Exit codes: 0 success, 1 validation failure, 2 runtime
 failure.
+
+Every key, the top-level ``seed``, ``output`` and ``workers`` included,
+is read by one typed reader: unknown keys are rejected, ``null`` is
+accepted only for ``Optional`` keys, and a dataclass section (``SimConfig``,
+``InterconnectConfig``) takes its keys, types and defaults from its fields.
+An explicit ``--workers`` overrides the config's ``workers``.
 """
 from __future__ import annotations
 
@@ -14,8 +20,9 @@ import csv
 import logging
 import math
 import sys
-from dataclasses import asdict, fields
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, fields, replace
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
+                    get_args, get_origin, get_type_hints)
 
 import yaml
 
@@ -29,10 +36,6 @@ from .link import (SimConfig, run_calibration_study, run_downlink_evm,
 from .link.modem import _ORDERS
 
 log = logging.getLogger("mimodsp")
-
-EXPERIMENTS = ("ber", "evm_vs_m", "fxp_sweep", "outage", "complexity_table",
-               "interconnect", "hardening", "calibration")
-
 
 class ConfigError(ValueError):
     """Validation failure; the message names the offending field(s)."""
@@ -52,59 +55,81 @@ class _Schema:
         self.errors: List[str] = []
         self.seen = set()
 
-    def take(self, key, default=None, required=False, typ=None, choices=None,
+    def take(self, key, typ, default=None, required=False, choices=None,
              minimum=None):
+        """``key`` read as ``typ``; ``default`` when absent or invalid."""
         self.seen.add(key)
         if key not in self.raw:
             if required:
                 self.errors.append(f"{key}: required")
             return default
-        val = self.raw[key]
-        if typ is not None:
-            try:
-                # an explicit null would skip the range checks below
-                if val is None or (typ is int and isinstance(val, bool)):
-                    raise TypeError
-                val = typ(val)
-            except (TypeError, ValueError):
-                self.errors.append(f"{key}: expected {typ.__name__}, "
-                                   f"got {val!r}")
-                return default
-        if minimum is not None and val is not None and val < minimum:
-            self.errors.append(f"{key}: must be at least {minimum}")
+        try:
+            val = _coerce(self.raw[key], typ)
+        except TypeError as exc:
+            self.errors.append(f"{key}: {exc}")
+            return default
+        many = isinstance(val, tuple)
+        if minimum is not None and any(v < minimum
+                                       for v in (val if many else (val,))):
+            self.errors.append(f"{key}: {'entries ' if many else ''}"
+                               f"must be at least {minimum}")
             return default
         if choices is not None and val not in choices:
             self.errors.append(f"{key}: {val!r} not one of {sorted(choices)}")
             return default
         return val
 
-    def take_list(self, key, item_typ, default=None, required=False,
-                  minimum=None):
-        self.seen.add(key)
-        if key not in self.raw:
-            if required:
-                self.errors.append(f"{key}: required")
-            return default
-        val = self.raw[key]
-        if not isinstance(val, (list, tuple)) or not val:
-            self.errors.append(f"{key}: expected a non-empty list")
-            return default
-        try:
-            items = [item_typ(v) for v in val]
-        except (TypeError, ValueError):
-            self.errors.append(f"{key}: entries must be {item_typ.__name__}")
-            return default
-        if minimum is not None and any(v < minimum for v in items):
-            self.errors.append(f"{key}: entries must be at least {minimum}")
-            return default
-        return items
-
-    def finish(self):
-        unknown = sorted(set(self.raw) - self.seen)
-        for key in unknown:
-            self.errors.append(f"{key}: unknown key for {self.context}")
+    def check(self):
         if self.errors:
             raise ConfigError("; ".join(self.errors))
+
+    def finish(self):
+        for key in sorted(set(self.raw) - self.seen):
+            self.errors.append(f"{key}: unknown key for {self.context}")
+        self.check()
+
+
+def _coerce(val, typ):
+    """``val`` as annotation ``typ``: a scalar, ``Optional[X]`` (the only
+    type that takes ``null``) or ``Tuple[X, ...]`` (a non-empty list)."""
+    if get_origin(typ) is Union:
+        return None if val is None else _coerce(val, get_args(typ)[0])
+    if get_origin(typ) is tuple:
+        if not isinstance(val, (list, tuple)) or not val:
+            raise TypeError(f"expected a non-empty list, got {val!r}")
+        return tuple(_coerce(v, get_args(typ)[0]) for v in val)
+    # numbers may come as strings (YAML reads 1e-3 as one); int takes no
+    # fraction, and bool and str take only their own YAML type
+    try:
+        if (val is None or isinstance(val, bool) != (typ is bool)
+                or (typ is str and not isinstance(val, str))
+                or (typ is int and isinstance(val, float)
+                    and not val.is_integer())):
+            raise TypeError
+        return typ(val)
+    except (TypeError, ValueError):
+        raise TypeError(f"expected {typ.__name__}, got {val!r}") from None
+
+
+def _read(s: _Schema, cls, **fixed):
+    """Build dataclass ``cls`` from the keys named by its fields, except
+    the ``fixed`` ones; a field without a default is a required key.
+    Read the section's other keys first: this reports unknown keys."""
+    hints = get_type_hints(cls)
+    kwargs = dict(fixed)
+    for f in fields(cls):
+        if f.name not in fixed:
+            val = s.take(f.name, hints[f.name], default=MISSING,
+                         required=f.default is MISSING)
+            if val is not MISSING:
+                kwargs[f.name] = val
+    s.finish()
+    try:
+        cfg = cls(**kwargs)
+        getattr(cfg, "validate", lambda: None)()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def _flatten(prefix: str, value) -> List[Tuple[str, str]]:
@@ -131,49 +156,13 @@ def write_csv(path: str, echo: dict, header: Sequence[str],
 
 # ---------------------------------------------------------- experiments
 #
-# Each builder validates its config section and returns a no-argument
-# callable producing (header, rows).  Validation must not compute.
-
-# SimConfig's scalar fields, keyed to the type a config value is read
-# as; snr_db and coded are read below, and seed is the top-level seed.
-_SCALARS = {"int": int, "Optional[int]": int, "float": float, "str": str}
-_SIM_KEYS = {f.name: _SCALARS[f.type] for f in fields(SimConfig)
-             if f.type in _SCALARS and f.name != "seed"}
-
-
-def _sim_config(s: _Schema, seed: int, **overrides) -> SimConfig:
-    kwargs = {}
-    for key, typ in _SIM_KEYS.items():
-        val = s.take(key, typ=typ, required=key in ("m", "k"))
-        if val is not None:
-            kwargs[key] = val
-    snr = s.take_list("snr_db", float, required="snr_db" not in overrides)
-    if snr is not None:
-        kwargs["snr_db"] = tuple(snr)
-    coded = s.take("coded")
-    if coded is not None:
-        if not isinstance(coded, bool):
-            s.errors.append("coded: expected true/false")
-        else:
-            kwargs["coded"] = coded
-    trials = s.take("trials", typ=int)    # alias for frames
-    if trials is not None:
-        kwargs["frames"] = trials
-    kwargs.update(overrides)
-    kwargs.setdefault("seed", seed)
-    if s.errors:
-        s.finish()      # cannot construct; raises with everything found
-    cfg = SimConfig(**kwargs)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+# Each builder reads and checks its keys and returns a no-argument
+# callable producing (header, rows); ``build_experiment`` then rejects
+# unknown keys.  Validation must not compute.
 
 
 def _build_ber(s: _Schema, seed: int, workers: int) -> Callable:
-    cfg = _sim_config(s, seed)
-    s.finish()
+    cfg = _read(s, SimConfig, seed=seed)
 
     def run():
         res = run_uplink_ber(cfg, workers=workers)
@@ -185,23 +174,18 @@ def _build_ber(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_fxp_sweep(s: _Schema, seed: int, workers: int) -> Callable:
-    bits = s.take_list("fraction_bits", int, required=True) or [8]
-    include_float = s.take("include_float", default=False)
-    base = _sim_config(s, seed)
-    configs = []
-    if include_float:
-        configs.append(("float", SimConfig(**{**asdict(base),
-                                              "signal_fraction_bits": None,
-                                              "operator_fraction_bits": None})))
+    bits = s.take("fraction_bits", Tuple[int, ...], required=True)
+    include_float = s.take("include_float", bool, default=False)
+    base = _read(s, SimConfig, seed=seed, signal_fraction_bits=None,
+                 operator_fraction_bits=None)
+    configs = [("float", base)] if include_float else []
     for n in bits:
-        cfg = SimConfig(**{**asdict(base), "signal_fraction_bits": n,
-                           "operator_fraction_bits": n})
+        cfg = replace(base, signal_fraction_bits=n, operator_fraction_bits=n)
         try:
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(f"fraction_bits: {exc}") from None
         configs.append((str(n), cfg))
-    s.finish()
 
     def run():
         rows = []
@@ -216,17 +200,18 @@ def _build_fxp_sweep(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
-    fractions = s.take_list("fractions", float, required=True) or [0.0]
-    policy = s.take("policy", required=True, typ=str,
-                    choices={"ignore", "exclude"})
-    target = s.take("target_ber", required=True, typ=float)
+    fractions = s.take("fractions", Tuple[float, ...], default=(),
+                       required=True)
+    policy = s.take("policy", str, required=True, choices={"ignore", "exclude"})
+    target = s.take("target_ber", float, required=True)
     if target is not None and not 0.0 < target < 1.0:
         s.errors.append(f"target_ber: {target} outside (0, 1)")
     bad = [f for f in fractions if not 0.0 <= f < 1.0]
     if bad:
         s.errors.append(f"fractions: {bad} outside [0, 1)")
-    cfg = _sim_config(s, seed, victim_policy="none", victim_fraction=0.0)
-    s.finish()
+    # the study sets the victims itself
+    cfg = _read(s, SimConfig, seed=seed, victim_policy="none",
+                victim_fraction=0.0)
 
     def run():
         res = run_outage_study(cfg, fractions, policy, target,
@@ -240,21 +225,19 @@ def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take_list("m_list", int, required=True)
-    k = s.take("k", required=True, typ=int, minimum=1)
-    trials = s.take("trials", default=20, typ=int, minimum=1)
-    uses = s.take("uses", default=64, typ=int, minimum=1)
-    backoff = s.take("backoff_db", default=0.0, typ=float)
-    precoder = s.take("precoder", default="zf", typ=str,
-                      choices={"mr", "zf", "rzf"})
-    constellation = s.take("constellation", default="qpsk", typ=str)
-    m_ref = s.take("m_ref", typ=int, minimum=1)
-    pa_raw = s.take("pa", default={})
-    ps = _Schema(pa_raw, "pa")
-    a_1db = ps.take("a_1db", default=1.0, typ=float)
-    alpha1 = ps.take("alpha1", default=1.0, typ=float)
+    m_list = s.take("m_list", Tuple[int, ...], required=True)
+    k = s.take("k", int, required=True, minimum=1)
+    trials = s.take("trials", int, default=20, minimum=1)
+    uses = s.take("uses", int, default=64, minimum=1)
+    backoff = s.take("backoff_db", float, default=0.0)
+    precoder = s.take("precoder", str, default="zf", choices={"mr", "zf", "rzf"})
+    constellation = s.take("constellation", str, default="qpsk")
+    m_ref = s.take("m_ref", int, minimum=1)
+    ps = _Schema(s.take("pa", dict, default={}), "pa")
+    a_1db = ps.take("a_1db", float, default=1.0)
+    alpha1 = ps.take("alpha1", float, default=1.0)
     ps.finish()
-    if str(constellation).lower() not in _ORDERS:
+    if constellation.lower() not in _ORDERS:
         s.errors.append(f"constellation: unknown {constellation!r}")
     if m_list and k and any(m < k for m in m_list):
         s.errors.append("m_list: entries must be >= k")
@@ -262,7 +245,6 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
         pa = PaModel.from_compression_point(a_1db, alpha1)
     except ValueError as exc:
         s.errors.append(f"pa: {exc}")
-    s.finish()
 
     def run():
         points = run_downlink_evm(m_list, k, pa, trials=trials, uses=uses,
@@ -275,20 +257,19 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", required=True, typ=int, minimum=1)
-    k_list = s.take_list("k_list", int, required=True, minimum=1)
-    order = s.take("nsa_order", default=3, typ=int)
-    uses = s.take("coherence_uses", default=512, typ=int, minimum=1)
-    algos = s.take_list("algorithms", str, default=list(ALGORITHMS))
+    m = s.take("m", int, required=True, minimum=1)
+    k_list = s.take("k_list", Tuple[int, ...], required=True, minimum=1)
+    order = s.take("nsa_order", int, default=3)
+    uses = s.take("coherence_uses", int, default=512, minimum=1)
+    algos = s.take("algorithms", Tuple[str, ...], default=ALGORITHMS)
     bad = sorted(set(algos) - set(ALGORITHMS))
     if bad:
         s.errors.append(f"algorithms: unknown {bad}")
     iterative = sorted({"nsa", "cd"} & set(algos))
-    if iterative and (order is None or order < 1):
+    if iterative and order < 1:
         s.errors.append(f"nsa_order: {iterative} need at least 1")
     if m and k_list and any(k > m for k in k_list):
         s.errors.append("k_list: entries must not exceed m")
-    s.finish()
 
     def run():
         rows = []
@@ -305,17 +286,7 @@ def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_interconnect(s: _Schema, seed: int, workers: int) -> Callable:
-    kwargs = {}
-    for key, default in (("r_samp", 30.72e6), ("n_data", 1200),
-                         ("n_sub", 2048), ("n_cp", 146), ("w_bits", 24),
-                         ("m", 100)):
-        typ = float if key == "r_samp" else int
-        kwargs[key] = s.take(key, default=default, typ=typ)
-    s.finish()
-    try:
-        cfg = InterconnectConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = _read(s, InterconnectConfig)
 
     def run():
         r_ofdm, r_total = interconnect_rate(cfg)
@@ -326,9 +297,8 @@ def _build_interconnect(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take_list("m_list", int, required=True, minimum=1)
-    trials = s.take("trials", default=10000, typ=int, minimum=1)
-    s.finish()
+    m_list = s.take("m_list", Tuple[int, ...], required=True, minimum=1)
+    trials = s.take("trials", int, default=10000, minimum=1)
 
     def run():
         rows = []
@@ -342,17 +312,16 @@ def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", required=True, typ=int, minimum=1)
-    k = s.take("k", required=True, typ=int, minimum=1)
-    gain = s.take("gain_bound_db", default=1.0, typ=float)
-    phase = s.take("phase_bound_deg", default=5.0, typ=float)
-    residuals = s.take_list("residual_error_db", float, default=[-40.0])
-    trials = s.take("trials", default=100, typ=int, minimum=1)
-    precoder = s.take("precoder", default="zf", typ=str,
-                      choices={"mr", "zf", "rzf"})
+    m = s.take("m", int, required=True, minimum=1)
+    k = s.take("k", int, required=True, minimum=1)
+    gain = s.take("gain_bound_db", float, default=1.0)
+    phase = s.take("phase_bound_deg", float, default=5.0)
+    residuals = s.take("residual_error_db", Tuple[float, ...],
+                       default=(-40.0,))
+    trials = s.take("trials", int, default=100, minimum=1)
+    precoder = s.take("precoder", str, default="zf", choices={"mr", "zf", "rzf"})
     if m and k and k > m:
         s.errors.append(f"k: {k} users exceed {m} antennas")
-    s.finish()
 
     def run():
         raw, cal = run_calibration_study(m, k, gain, phase, residuals, trials,
@@ -394,30 +363,25 @@ def load_config(path: str) -> dict:
 
 
 def build_experiment(raw: dict, seed_override: Optional[int] = None,
-                     workers: int = 1):
-    """Validate a config dict; returns (name, runner, echo, out_name)."""
-    raw = dict(raw)
-    name = raw.pop("experiment", None)
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"experiment: {name!r} not one of {EXPERIMENTS}")
-    seed = raw.pop("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed: expected int, got {seed!r}")
+                     workers: Optional[int] = None):
+    """Validate a config dict; returns (name, runner, echo, out_name).
+
+    An explicit ``workers`` overrides the config's ``workers`` key."""
+    s = _Schema(raw, "config")
+    name = s.take("experiment", str, required=True, choices=_BUILDERS)
+    s.check()
+    s.context = f"experiment {name}"
+    seed = s.take("seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
-    out_name = raw.pop("output", f"{name}.csv")
-    cfg_workers = raw.pop("workers", None)
-    if cfg_workers is not None:
-        if not isinstance(cfg_workers, int) or cfg_workers < 1:
-            raise ConfigError(f"workers: expected positive int, got {cfg_workers!r}")
-        if workers == 1:
-            workers = cfg_workers
-    schema = _Schema(raw, f"experiment {name}")
-    runner = _BUILDERS[name](schema, seed, workers)
-    echo = dict(raw)
-    echo["experiment"] = name
-    echo["seed"] = seed
-    echo["workers"] = workers
+    out_name = s.take("output", str, default=f"{name}.csv")
+    cfg_workers = s.take("workers", int, default=1, minimum=1)
+    workers = cfg_workers if workers is None else workers
+    runner = _BUILDERS[name](s, seed, workers)
+    s.finish()
+    echo = {k: v for k, v in raw.items()
+            if k not in ("experiment", "seed", "output", "workers")}
+    echo.update(experiment=name, seed=seed, workers=workers)
     return name, runner, echo, out_name
 
 
@@ -431,8 +395,9 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help="output CSV path (default: <experiment>.csv)")
     run.add_argument("--seed", type=int, default=None, help="seed override")
-    run.add_argument("--workers", type=int, default=1,
-                     help="worker processes for Monte-Carlo experiments")
+    run.add_argument("--workers", type=int, default=None,
+                     help="worker processes for Monte-Carlo experiments "
+                          "(default: the config's workers, else 1)")
     run.add_argument("-v", "--verbose", action="count", default=0)
     val = sub.add_parser("validate", help="schema-check a config, no compute")
     val.add_argument("--config", required=True)

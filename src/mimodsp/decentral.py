@@ -96,14 +96,15 @@ aggregate_mf = aggregate_gram
 
 @dataclass(frozen=True)
 class InterconnectConfig:
-    """OFDM framing and word width behind the aggregation links."""
+    """OFDM framing and word width behind the aggregation links; the
+    defaults are 20 MHz LTE framing at 100 antennas and 24-bit samples."""
 
-    r_samp: float
-    n_data: int
-    n_sub: int
-    n_cp: int
-    w_bits: int
-    m: int
+    r_samp: float = 30.72e6
+    n_data: int = 1200
+    n_sub: int = 2048
+    n_cp: int = 146
+    w_bits: int = 24
+    m: int = 100
 
     def __post_init__(self):
         if min(self.r_samp, self.n_data, self.n_sub, self.n_cp, self.w_bits, self.m) <= 0:

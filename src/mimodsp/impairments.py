@@ -173,16 +173,13 @@ class FrontEndSet:
 
     ``r_bs``/``t_bs`` hold the per-antenna receiver and transmitter
     responses of the array (diagonals of M x M matrices); ``r_ue`` and
-    ``t_ue`` the per-terminal scalars.  The draw bounds are recorded so
-    the set can be checked against its own configuration.
+    ``t_ue`` the per-terminal scalars.
     """
 
     r_bs: np.ndarray
     t_bs: np.ndarray
     r_ue: np.ndarray
     t_ue: np.ndarray
-    gain_bound_db: Optional[float] = None
-    phase_bound_deg: Optional[float] = None
 
     def __post_init__(self):
         for name in ("r_bs", "t_bs", "r_ue", "t_ue"):
@@ -216,8 +213,6 @@ def draw_front_end_set(m: int, k: int, gain_bound_db: float = 1.0,
         t_bs=_draw_responses(m, gain_bound_db, phase_bound_deg, r),
         r_ue=_draw_responses(k, gain_bound_db, phase_bound_deg, r),
         t_ue=_draw_responses(k, gain_bound_db, phase_bound_deg, r),
-        gain_bound_db=gain_bound_db,
-        phase_bound_deg=phase_bound_deg,
     )
 
 

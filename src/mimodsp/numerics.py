@@ -88,10 +88,9 @@ class FixedPointFormat:
         return -self.max_value if self.saturating else -(2 ** (self.total_bits - 1)) * self.step
 
     @classmethod
-    def for_unit_range(cls, fraction_bits: int, integer_bits: int = 3,
-                       saturating: bool = True) -> "FixedPointFormat":
-        """Format for values normalized to O(1): sign + integer_bits + fraction."""
-        return cls(1 + integer_bits + fraction_bits, fraction_bits, saturating)
+    def for_unit_range(cls, fraction_bits: int) -> "FixedPointFormat":
+        """Saturating format for values normalized to O(1): sign + 3 + fraction."""
+        return cls(4 + fraction_bits, fraction_bits)
 
 
 def _quantize_real(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
@@ -167,7 +166,6 @@ class GivensRotation:
     c: complex
     s: complex
     r: float
-    exact: bool = True
 
     def apply(self, x, y):
         xn = np.conj(self.c) * x + self.s * y
@@ -203,7 +201,7 @@ def givens_modified(a: complex, b: complex, c_const: float = 1.0) -> GivensRotat
     if a == 0:
         raise ZeroDivisionError("modified rotation needs a nonzero pivot")
     return GivensRotation(c=complex(c_const), s=np.conj(b) / a,
-                          r=float(c_const * abs(a)), exact=False)
+                          r=float(c_const * abs(a)))
 
 
 @dataclass(frozen=True)
@@ -218,7 +216,6 @@ class QrdResult:
     q: np.ndarray
     r: np.ndarray
     reconstruction_error: float
-    mode: str
 
 
 def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
@@ -269,7 +266,7 @@ def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
                 t[row, :] = quantize(t[row, :])
     q = np.conj(t.T)
     err = float(np.linalg.norm(q @ r - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
-    return QrdResult(q=q, r=r, reconstruction_error=err, mode=mode)
+    return QrdResult(q=q, r=r, reconstruction_error=err)
 
 
 # ---------------------------------------------------------------------------

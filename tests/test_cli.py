@@ -4,14 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from mimodsp import SimConfig, table2_cost
-from mimodsp.cli import _SIM_KEYS, main
+from mimodsp.cli import build_experiment, main
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -54,6 +55,9 @@ _TINY_EVM = {"experiment": "evm_vs_m", "m_list": [4, 6], "k": 2,
 _TINY_TABLE = {"experiment": "complexity_table", "m": 16, "k_list": [4],
                "algorithms": ["nsa", "chd"]}
 _TINY_CALIBRATION = {"experiment": "calibration", "m": 4, "k": 2, "trials": 2}
+_TINY_FXP = dict(_TINY_BER, experiment="fxp_sweep", fraction_bits=[8])
+_TINY_OUTAGE = dict(_TINY_BER, experiment="outage", fractions=[0.1],
+                    policy="exclude", target_ber=1e-3)
 
 
 class TestShippedConfigs:
@@ -89,10 +93,30 @@ class TestRunBer:
             assert int(row[1]) == 4 * 2 * 128 * 2
             assert 0.0 <= float(row[3]) < 0.5
 
-    def test_every_sim_config_field_is_a_config_key(self):
-        # snr_db and coded have their own readers; seed is top-level
-        assert (set(_SIM_KEYS) | {"snr_db", "coded", "seed"}
-                == {f.name for f in fields(SimConfig)})
+    def test_every_sim_config_field_is_a_config_key(self, monkeypatch):
+        want = SimConfig(m=8, k=2, snr_db=(-2.0, 0.0), constellation="16qam",
+                         detector="mmse", coded=False, coherence_uses=64,
+                         frames=3, pilot_snr_db=20.0, signal_fraction_bits=10,
+                         operator_fraction_bits=9, adc_bits=6, nsa_order=2,
+                         cd_sweeps=4, c_const=0.9, victim_fraction=0.25,
+                         victim_mode="transient", victim_policy="ignore",
+                         seed=5)
+        # a key read and then dropped would leave its field at the default
+        assert all(getattr(want, f.name) != f.default
+                   for f in fields(SimConfig) if f.default is not MISSING)
+        payload = {f.name: getattr(want, f.name) for f in fields(SimConfig)
+                   if f.name != "seed"}
+        payload.update(experiment="ber", snr_db=[-2.0, 0.0], seed=5)
+        built = []
+
+        def fake_run(cfg, workers):
+            built.append(cfg)
+            return SimpleNamespace(points=[])
+
+        monkeypatch.setattr("mimodsp.cli.run_uplink_ber", fake_run)
+        _, runner, _, _ = build_experiment(payload)
+        runner()
+        assert built == [want]
 
     def test_seed_override_is_echoed_and_applied(self, tmp_path):
         cfg = _write_config(tmp_path, _TINY_BER)
@@ -100,6 +124,14 @@ class TestRunBer:
         assert main(["run", "--config", cfg, "--out", out, "--seed", "123"]) == 0
         comments, _, _ = _read_csv(out)
         assert comments["seed"] == "123"
+
+    def test_workers_flag_overrides_config(self, tmp_path):
+        cfg = _write_config(tmp_path, dict(_TINY_BER, workers=2))
+        out = str(tmp_path / "ber.csv")
+        assert main(["run", "--config", cfg, "--out", out,
+                     "--workers", "1"]) == 0
+        comments, _, _ = _read_csv(out)
+        assert comments["workers"] == "1"
 
 
 class TestRunAnalytic:
@@ -218,13 +250,34 @@ class TestValidationFailures:
         ({"experiment": "hardening", "m_list": [4], "trials": None},
          "trials: expected int, got None"),
         (dict(_TINY_BER, frames=None), "frames: expected int, got None"),
-        (dict(_TINY_BER, experiment="outage", fractions=[0.1],
-              policy="exclude", target_ber=None),
+        (dict(_TINY_OUTAGE, target_ber=None),
          "target_ber: expected float, got None"),
+        (dict(_TINY_BER, coded=None), "coded: expected bool, got None"),
+        (dict(_TINY_FXP, include_float="no"),
+         "include_float: expected bool, got 'no'"),
+        (dict(_TINY_BER, output=7), "output: expected str, got 7"),
+        (dict(_TINY_BER, trials=1), "trials: unknown key"),
+        (dict(_TINY_OUTAGE, victim_fraction=0.2),
+         "victim_fraction: unknown key"),
+        (dict(_TINY_OUTAGE, victim_policy="ignore"),
+         "victim_policy: unknown key"),
+        (dict(_TINY_BER, workers=True), "workers: expected int, got True"),
+        (dict(_TINY_FXP, signal_fraction_bits=4, operator_fraction_bits=4),
+         "signal_fraction_bits: unknown key"),
+        (dict(_TINY_BER, frames=2.5), "frames: expected int, got 2.5"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):
         self._expect_failure(tmp_path, capsys, payload, fragment)
+
+    @pytest.mark.parametrize("base", [_TINY_BER, _TINY_FXP, _TINY_OUTAGE,
+                                      {"experiment": "interconnect"}])
+    def test_bad_key_reported_alone(self, tmp_path, capsys, base):
+        # no "unknown key" for the keys read after the bad one
+        cfg = _write_config(tmp_path, dict(base, m="fish"))
+        assert main(["validate", "--config", cfg]) == 1
+        assert (capsys.readouterr().err
+                == "validation error: m: expected int, got 'fish'\n")
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.yaml"]) == 1

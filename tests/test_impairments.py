@@ -134,8 +134,7 @@ class TestFrontEnds:
     def test_reciprocal_when_responses_match(self, rng):
         g = draw_iid_rayleigh(16, 4, rng)
         ones_m, ones_k = np.ones(16, complex), np.ones(4, complex)
-        fe = FrontEndSet(r_bs=ones_m, t_bs=ones_m, r_ue=ones_k, t_ue=ones_k,
-                         gain_bound_db=0.0, phase_bound_deg=0.0)
+        fe = FrontEndSet(r_bs=ones_m, t_bs=ones_m, r_ue=ones_k, t_ue=ones_k)
         ul, dl = build_nonreciprocal(g, fe)
         assert np.array_equal(ul, dl)
 
@@ -179,8 +178,7 @@ class TestCalibration:
 
     def test_zero_receive_response_rejected(self):
         fe = FrontEndSet(r_bs=np.zeros(2, complex), t_bs=np.ones(2, complex),
-                         r_ue=np.ones(1, complex), t_ue=np.ones(1, complex),
-                         gain_bound_db=0.0, phase_bound_deg=0.0)
+                         r_ue=np.ones(1, complex), t_ue=np.ones(1, complex))
         with pytest.raises(ValueError):
             calibrate(fe)
 
