@@ -1,10 +1,10 @@
 """Uplink detectors and downlink precoders, exact and hardware-friendly.
 
-Exact linear processing (MR / ZF / MMSE / RZF) is built directly from the
-channel estimate.  The remaining methods avoid the explicit Gram inverse:
-truncated and weighted Neumann series, coordinate descent on the
-regularized least-squares objective, and Cholesky or modified-QR
-factorizations with triangular solves.  All of the approximate paths run
+Exact linear processing (MR / ZF / MMSE / RZF) is one regularized inverse
+of the channel estimate, returned as an (M, K) array.  The remaining
+methods avoid the explicit Gram inverse: truncated and weighted Neumann
+series, coordinate descent on the regularized least-squares objective,
+and Cholesky or modified-QR factorizations with triangular solves.  All of the approximate paths run
 through :class:`~mimodsp.numerics.FxpOverlay` hooks so the same code
 serves word-length studies.
 
@@ -31,12 +31,10 @@ from .numerics import (
 )
 
 __all__ = [
-    "LinearCombiner",
     "WnsaConfig",
     "NsaDivergenceWarning",
     "combiner_exact",
     "precode",
-    "apply_precoder",
     "post_combining_sinr",
     "nsa_inverse",
     "wnsa_inverse",
@@ -51,17 +49,6 @@ _IDENTITY = FxpOverlay()
 
 class NsaDivergenceWarning(UserWarning):
     """Spectral-radius precondition of the Neumann series failed."""
-
-
-@dataclass(frozen=True)
-class LinearCombiner:
-    """Bank of per-user combining or precoding vectors (columns of A)."""
-
-    matrix: np.ndarray
-
-    def combine(self, y: np.ndarray) -> np.ndarray:
-        """Per-user symbol estimates ``A^H y`` for one or many uses."""
-        return np.conj(self.matrix.T) @ y
 
 
 def _check_order(order: int) -> None:
@@ -94,71 +81,63 @@ def _validate_channel(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def combiner_exact(g_hat: np.ndarray, method: str,
-                   noise_var: float = 0.0) -> LinearCombiner:
-    """MR, ZF, or MMSE receive combiner with unit per-user gain.
+def _channel_inverse(g_hat, method, nus, kind):
+    """Columns ``G (G^H G + nu I)^-1`` and their gains ``a_k^H g_k``.
 
-    MMSE solves ``(G^H G + N0 I)`` with ``N0 = noise_var``; ZF is the
-    ``N0 = 0`` special case and requires full column rank.
+    ``nus`` maps each method to its ``nu``; ``None`` gives the MR columns G.
     """
     g = _validate_channel(g_hat)
-    k = g.shape[1]
     method = method.lower()
-    if method == "mr":
-        raw = g.copy()
-    elif method in ("zf", "mmse"):
-        nu = 0.0 if method == "zf" else float(noise_var)
-        z = np.conj(g.T) @ g + nu * np.eye(k)
-        raw = g @ np.linalg.inv(z)
+    if method not in nus:
+        raise ValueError(f"unknown {kind} method {method!r}")
+    nu = nus[method]
+    if nu is None:
+        a = g
     else:
-        raise ValueError(f"unknown combiner method {method!r}")
-    gains = np.einsum("mk,mk->k", np.conj(raw), g)
+        z = np.conj(g.T) @ g + float(nu) * np.eye(g.shape[1])
+        a = g @ np.linalg.inv(z)
+    gains = np.einsum("mk,mk->k", np.conj(a), g)
     if np.any(gains.real <= 0):
-        raise np.linalg.LinAlgError("combiner gain collapsed; channel rank deficient?")
-    alpha = 1.0 / gains.real
-    return LinearCombiner(matrix=raw * alpha[None, :])
+        raise np.linalg.LinAlgError(f"{kind} gain collapsed; channel rank deficient?")
+    return a, gains
+
+
+def combiner_exact(g_hat: np.ndarray, method: str,
+                   noise_var: float = 0.0) -> np.ndarray:
+    """(M, K) MR, ZF, or MMSE receive combiner with unit per-user gain.
+
+    MMSE solves ``(G^H G + N0 I)`` with ``N0 = noise_var``; ZF is the
+    ``N0 = 0`` special case and requires full column rank.  The symbol
+    estimates are ``np.conj(A.T) @ y``.
+    """
+    a, gains = _channel_inverse(
+        g_hat, method, {"mr": None, "zf": 0.0, "mmse": noise_var}, "combiner")
+    return a * (1.0 / gains.real)[None, :]
 
 
 def precode(g_hat: np.ndarray, method: str, total_power: float = 1.0,
-            ridge: float = 0.0) -> LinearCombiner:
-    """MR, ZF, or RZF transmit precoder under a sum-power constraint.
+            ridge: float = 0.0) -> np.ndarray:
+    """(M, K) MR, ZF, or RZF transmit precoder under a sum-power constraint.
 
-    Columns are first normalized to unit downlink gain (``g_k^T a_k = 1``),
-    then scaled by a common factor so that ``E||A x||^2 = total_power``
-    for unit-power symbols.  With equal per-user gains this radiates equal
+    Columns, conjugates of the combiner's (RZF is MMSE at ``N0 = ridge``),
+    are first normalized to unit downlink gain (``g_k^T a_k = 1``), then
+    scaled by a common factor so that ``E||A x||^2 = total_power`` for
+    unit-power symbols.  With equal per-user gains this radiates equal
     received signal strength to every user.
     """
-    g = _validate_channel(g_hat)
-    k = g.shape[1]
-    method = method.lower()
-    if method == "mr":
-        raw = np.conj(g)
-    elif method in ("zf", "rzf"):
-        lam = 0.0 if method == "zf" else float(ridge)
-        z = g.T @ np.conj(g) + lam * np.eye(k)
-        raw = np.conj(g) @ np.linalg.inv(z)
-    else:
-        raise ValueError(f"unknown precoder method {method!r}")
-    gains = np.einsum("mk,mk->k", g, raw)
-    if np.any(gains.real <= 0):
-        raise np.linalg.LinAlgError("precoder gain collapsed; channel rank deficient?")
-    unit = raw / gains[None, :]
-    scale = np.sqrt(total_power) / np.linalg.norm(unit)
-    return LinearCombiner(matrix=unit * scale)
+    a, gains = _channel_inverse(
+        g_hat, method, {"mr": None, "zf": 0.0, "rzf": ridge}, "precoder")
+    unit = np.conj(a) / gains[None, :]
+    return unit * (np.sqrt(total_power) / np.linalg.norm(unit))
 
 
-def apply_precoder(precoder: LinearCombiner, x: np.ndarray) -> np.ndarray:
-    """Antenna-domain transmit signal ``A x`` for one or many symbol vectors."""
-    return precoder.matrix @ x
-
-
-def post_combining_sinr(combiner: LinearCombiner, g: np.ndarray,
+def post_combining_sinr(a: np.ndarray, g: np.ndarray,
                         noise_var: float) -> np.ndarray:
-    """Per-user SINR of a combiner against the true channel."""
-    cross = np.conj(combiner.matrix.T) @ g     # (K, K): row k = user k's gains
+    """Per-user SINR of an (M, K) combiner ``a`` against the true channel."""
+    cross = np.conj(a.T) @ g     # (K, K): row k = user k's gains
     sig = np.abs(np.diag(cross)) ** 2
     interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
-    noise = noise_var * np.sum(np.abs(combiner.matrix) ** 2, axis=0)
+    noise = noise_var * np.sum(np.abs(a) ** 2, axis=0)
     return sig / (interf + noise)
 
 
@@ -175,31 +154,12 @@ def _whitened_offdiag(z: np.ndarray) -> np.ndarray:
     return -(dinv_sqrt[:, None] * (z - np.diag(np.diag(z))) * dinv_sqrt[None, :])
 
 
-def _radius_estimate(b: np.ndarray, iters: int = 60) -> float:
-    # power iteration on the Hermitian whitened off-diagonal part;
-    # deterministic start so repeated calls agree
-    k = b.shape[0]
-    v = np.ones(k) / np.sqrt(k)
-    v = v + 1e-3 * np.cos(np.arange(k))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        lam = norm
-        v = w / norm
-    return float(lam)
-
-
-def _check_radius(z: np.ndarray) -> float:
-    rho = _radius_estimate(_whitened_offdiag(z))
+def _check_radius(z: np.ndarray) -> None:
+    rho = float(np.max(np.abs(np.linalg.eigvals(_whitened_offdiag(z)))))
     if rho >= 1.0:
         warnings.warn(
             f"series iteration radius {rho:.3f} >= 1; truncated inverse may diverge",
             NsaDivergenceWarning, stacklevel=3)
-    return rho
 
 
 # The two series kernels below are the only implementation of NSA and
@@ -237,8 +197,8 @@ def nsa_inverse(z: np.ndarray, order: int) -> np.ndarray:
 
     ``Zd`` is the diagonal of ``Z``.  The series converges when the
     spectral radius of the iteration matrix is below one, which holds when
-    the system is diagonally dominant; a power-iteration estimate is
-    checked and :class:`NsaDivergenceWarning` is emitted otherwise (the
+    the system is diagonally dominant; the exact radius is checked and
+    :class:`NsaDivergenceWarning` is emitted when it is at least one (the
     truncated sum is still returned).  ``order`` must lie within 0..10.
     """
     _check_order(order)
@@ -314,7 +274,8 @@ class UplinkDetector:
     (Gram, factorization, inverse) and :meth:`detect` the per-use cost.
     This class, built through :func:`build_uplink_detector`, is the one
     way to run every method in :data:`DETECTORS`; ``method`` is
-    case-insensitive.
+    case-insensitive.  An ``overlay`` of None is replaced by the identity
+    overlay, which rounds nothing.
 
     "chd" and "mqrd" solve the normal equations ``(G^H G + N0 I) x = G^H y``
     (ZF at ``noise_var = 0``), scaled by 1/M so that the factor's entries
@@ -355,7 +316,7 @@ class UplinkDetector:
         elif method in ("nsa", "wnsa"):
             _check_order(self.nsa_order)
         self.g_hat = g = _validate_channel(self.g_hat)
-        ov = self.overlay or _IDENTITY
+        self.overlay = ov = self.overlay or _IDENTITY
         m = g.shape[0]
         if method in ("mr", "zf", "mmse"):
             self._state["combiner"] = combiner_exact(g, method, self.noise_var)
@@ -369,12 +330,11 @@ class UplinkDetector:
             self._state["inverse"] = ov.q_operator(inv)
         elif method == "chd":
             zbar = _regularized_gram(g, self.noise_var, ov)
-            self._state["low"] = cholesky(
-                zbar, quantize=ov.q_operator if ov.operator else None)
+            self._state["low"] = cholesky(zbar, quantize=ov.q_operator)
         elif method == "mqrd":
             zbar = _regularized_gram(g, self.noise_var, ov)
             res = qrd(zbar, mode="modified", c_const=self.c_const,
-                      quantize=ov.q_operator if ov.operator else None)
+                      quantize=ov.q_operator)
             self._state["r"] = res.r
             self._state["t"] = np.conj(res.q.T)
             self.reconstruction_error = res.reconstruction_error
@@ -386,24 +346,23 @@ class UplinkDetector:
 
     def detect(self, y: np.ndarray) -> np.ndarray:
         g = self.g_hat
-        ov = self.overlay or _IDENTITY
+        ov = self.overlay
         yc, squeeze = _columns(y)
         method = self.method
         if method in ("mr", "zf", "mmse"):
-            xhat = self._state["combiner"].combine(yc)
+            xhat = np.conj(self._state["combiner"].T) @ yc
         elif method in ("nsa", "wnsa"):
             s = _matched_filter(g, yc, ov)
             xhat = ov.q_signal(self._state["inverse"] @ s)
         elif method == "chd":
             s = _matched_filter(g, yc, ov)
-            qs = ov.q_signal if ov.signal else None
-            t = forward_substitute(self._state["low"], s, quantize=qs)
-            xhat = back_substitute(np.conj(self._state["low"].T), t, quantize=qs)
+            t = forward_substitute(self._state["low"], s, quantize=ov.q_signal)
+            xhat = back_substitute(np.conj(self._state["low"].T), t,
+                                   quantize=ov.q_signal)
         elif method == "mqrd":
             s = _matched_filter(g, yc, ov)
             rhs = ov.q_signal(self._state["t"] @ s)
-            xhat = back_substitute(self._state["r"], rhs,
-                                   quantize=ov.q_signal if ov.signal else None)
+            xhat = back_substitute(self._state["r"], rhs, quantize=ov.q_signal)
         else:  # cd
             for xhat in self._cd_updates(yc):
                 pass
@@ -425,7 +384,7 @@ class UplinkDetector:
         Yields the estimate after every coordinate update; it is the same
         array each time, updated in place.
         """
-        ov = self.overlay or _IDENTITY
+        ov = self.overlay
         gq = self._state["gq"]
         inv_energy = self._state["inv_energy"]
         agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0

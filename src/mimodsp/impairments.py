@@ -101,12 +101,11 @@ def pa_apply(x, pa: PaModel):
 # ---------------------------------------------------------------------------
 
 
-def evm_db(reference: np.ndarray, received: np.ndarray,
-           floor_db: float = EVM_FLOOR_DB) -> float:
+def evm_db(reference: np.ndarray, received: np.ndarray) -> float:
     """Error power of ``received`` against ``reference`` after gain fitting.
 
     The received vector is divided by the least-squares complex gain
-    before comparison, so a clean scale or rotation reports the floor.
+    before comparison; a clean scale or rotation reports ``EVM_FLOOR_DB``.
     """
     ref = np.asarray(reference, dtype=complex).ravel()
     rec = np.asarray(received, dtype=complex).ravel()
@@ -117,10 +116,10 @@ def evm_db(reference: np.ndarray, received: np.ndarray,
         raise ValueError("reference power is zero")
     gain = np.vdot(ref, rec) / denom
     if gain == 0:
-        return float(floor_db)
+        return EVM_FLOOR_DB
     err = np.mean(np.abs(rec / gain - ref) ** 2) / np.mean(np.abs(ref) ** 2)
-    if err <= 10.0 ** (floor_db / 10.0):
-        return float(floor_db)
+    if err <= 10.0 ** (EVM_FLOOR_DB / 10.0):
+        return EVM_FLOOR_DB
     return float(10.0 * np.log10(err))
 
 
@@ -252,19 +251,19 @@ def calibrate(fe: FrontEndSet, residual_error_db: float = -np.inf,
     return weights * (1.0 + eps)
 
 
-def mui_db(effective: np.ndarray, floor_db: float = MUI_FLOOR_DB) -> float:
+def mui_db(effective: np.ndarray) -> float:
     """Multi-user interference power of a K x K effective matrix.
 
     Total off-diagonal power over total diagonal power, in dB; a clean
-    diagonal matrix reports the floor.
+    diagonal matrix reports ``MUI_FLOOR_DB``.
     """
     e = np.asarray(effective)
     diag_power = float(np.sum(np.abs(np.diag(e)) ** 2))
     if diag_power == 0:
         raise ValueError("effective matrix has zero diagonal power")
     off_power = float(np.sum(np.abs(e) ** 2)) - diag_power
-    if off_power <= diag_power * 10.0 ** (floor_db / 10.0):
-        return float(floor_db)
+    if off_power <= diag_power * 10.0 ** (MUI_FLOOR_DB / 10.0):
+        return MUI_FLOOR_DB
     return float(10.0 * np.log10(off_power / diag_power))
 
 
@@ -353,29 +352,25 @@ def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
     return (x[:, 0] if squeeze else x), victims
 
 
-def sddr_db(clean: np.ndarray, distorted: np.ndarray,
-            ceiling_db: float = SDDR_CEILING_DB) -> float:
-    """Signal power over the power of (distorted - clean), in dB."""
+def sddr_db(clean: np.ndarray, distorted: np.ndarray) -> float:
+    """Signal power over the power of (distorted - clean), in dB.
+
+    A distortion too small to measure reports ``SDDR_CEILING_DB``.
+    """
     c = np.asarray(clean, dtype=complex).ravel()
     d = np.asarray(distorted, dtype=complex).ravel()
     if c.size == 0 or c.size != d.size:
         raise ValueError("need equal-length nonempty vectors")
     p_sig = float(np.mean(np.abs(c) ** 2))
     p_dist = float(np.mean(np.abs(d - c) ** 2))
-    if p_dist <= p_sig * 10.0 ** (-ceiling_db / 10.0):
-        return float(ceiling_db)
+    if p_dist <= p_sig * 10.0 ** (-SDDR_CEILING_DB / 10.0):
+        return SDDR_CEILING_DB
     return float(10.0 * np.log10(p_sig / p_dist))
 
 
-def per_antenna_sddr_db(clean: np.ndarray, distorted: np.ndarray,
-                        stuck_victims: Optional[Sequence[int]] = None,
-                        floor_db: float = SDDR_FLOOR_DB) -> np.ndarray:
-    """Row-wise SDDR of an (M, N) block.
-
-    Stuck victims are reported at the floor by definition: a pinned output
-    carries no signal component at all, whatever the numeric power ratio
-    of the replacement constant happens to be.
-    """
+def per_antenna_sddr_db(clean: np.ndarray,
+                        distorted: np.ndarray) -> np.ndarray:
+    """Row-wise SDDR of an (M, N) block, floored at ``SDDR_FLOOR_DB``."""
     c = np.atleast_2d(np.asarray(clean, dtype=complex))
     d = np.atleast_2d(np.asarray(distorted, dtype=complex))
     if c.shape != d.shape:
@@ -383,21 +378,18 @@ def per_antenna_sddr_db(clean: np.ndarray, distorted: np.ndarray,
     out = np.empty(c.shape[0])
     for i in range(c.shape[0]):
         out[i] = sddr_db(c[i], d[i])
-    out = np.maximum(out, floor_db)
-    if stuck_victims is not None:
-        out[np.asarray(stuck_victims, dtype=int)] = floor_db
-    return out
+    return np.maximum(out, SDDR_FLOOR_DB)
 
 
-def exclude_antennas(operator: np.ndarray, victims: Sequence[int],
-                     k_min: Optional[int] = None) -> np.ndarray:
+def exclude_antennas(operator: np.ndarray,
+                     victims: Sequence[int]) -> np.ndarray:
     """Remove victim rows from an (M, K) operator.
 
     Detection or precoding built from the reduced matrix behaves exactly
     like a fresh array with ``M' = M - len(victims)`` antennas; precoder
     power renormalization happens automatically when the precoder is
-    rebuilt from the reduced rows.  ``k_min`` (default: the column count)
-    guards against excluding below the spatial-multiplexing minimum.
+    rebuilt from the reduced rows.  Excluding below the column count (the
+    spatial-multiplexing minimum) is rejected.
     """
     op = np.asarray(operator)
     victims = np.asarray(victims, dtype=int)
@@ -406,7 +398,6 @@ def exclude_antennas(operator: np.ndarray, victims: Sequence[int],
     if victims.min() < 0 or victims.max() >= op.shape[0]:
         raise ValueError("victim index out of range")
     remaining = op.shape[0] - np.unique(victims).size
-    need = op.shape[1] if k_min is None else k_min
-    if remaining < need:
-        raise ValueError(f"exclusion leaves {remaining} rows for {need} users")
+    if remaining < op.shape[1]:
+        raise ValueError(f"exclusion leaves {remaining} rows for {op.shape[1]} users")
     return np.delete(op, victims, axis=0)

@@ -25,8 +25,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
-from ..equalization import (DETECTORS, apply_precoder, build_uplink_detector,
-                            precode)
+from ..equalization import DETECTORS, build_uplink_detector, precode
 from ..impairments import (CircuitErrorModel, PaModel, build_nonreciprocal,
                            calibrate, draw_front_end_set, evm_db,
                            inject_errors, mui_db, pa_apply, quantize_adc)
@@ -300,12 +299,16 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
         raise ValueError("m_list: empty")
     if trials < 1:
         raise ValueError("trials: must be positive")
+    if uses < 1:
+        raise ValueError("uses: must be positive")
+    if min(m_list) < k:
+        raise ValueError(f"m_list: {min(m_list)} antennas for {k} users")
     m_ref = min(m_list) if m_ref is None else m_ref
+    if m_ref < 1:
+        raise ValueError("m_ref: must be positive")
     const = Constellation.from_name(constellation)
     out = []
     for m in m_list:
-        if m < k:
-            raise ValueError(f"m_list: {m} antennas for {k} users")
         acc = 0.0
         for trial in range(trials):
             g = draw_iid_rayleigh(m, k, stream_rng(seed, m, trial, 0))
@@ -313,8 +316,7 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
             bits = rng_bits.integers(0, 2,
                                      size=(k, uses * const.bits_per_symbol))
             x = map_bits(bits, const)
-            a = precode(g, precoder, total_power=1.0)
-            s = apply_precoder(a, x)
+            s = precode(g, precoder, total_power=1.0) @ x
             target = (_pa_drive_amplitude(pa) * 10.0 ** (-backoff_db / 20.0)
                       * np.sqrt(m_ref / m))
             rms = np.sqrt(np.mean(np.abs(s) ** 2))
@@ -340,9 +342,13 @@ def run_calibration_study(m: int, k: int, gain_bound_db: float,
     error of each ``residuals`` entry's relative power (dB).  Returns the
     uncalibrated median in dB and one calibrated median per residual.
     """
+    if trials < 1:
+        raise ValueError("trials: must be positive")
+    if k > m:
+        raise ValueError(f"k: {k} users exceed {m} antennas")
+
     def mui(g_for_precoder, downlink):
-        a = precode(g_for_precoder, precoder)
-        return mui_db(downlink.T @ a.matrix)
+        return mui_db(downlink.T @ precode(g_for_precoder, precoder))
 
     cal = {r: [] for r in residuals}
     raw = []

@@ -3,8 +3,8 @@
 The factorizations are explicit loops rather than LAPACK calls on purpose:
 the systems are K x K with K of a few tens, and every stored intermediate
 must be exposed so that reduced-precision arithmetic can be emulated.  Each
-kernel takes an optional ``quantize`` hook that is applied to results as
-they are stored; with the hook left at ``None`` the kernels run in plain
+kernel takes a ``quantize`` hook that is applied to results as they are
+stored; the default hook keeps every value, so the kernels run in plain
 double precision.
 """
 from __future__ import annotations
@@ -30,7 +30,9 @@ __all__ = [
     "back_substitute",
 ]
 
-Quantizer = Optional[Callable[[np.ndarray], np.ndarray]]
+
+def _keep(x):
+    return x
 
 
 class NonPositivePivotError(ValueError):
@@ -143,10 +145,6 @@ class FxpOverlay:
         return x if self.operator is None else fxp_quantize(x, self.operator)
 
 
-def _apply(q: Quantizer, x):
-    return x if q is None else q(x)
-
-
 # ---------------------------------------------------------------------------
 # Givens rotations
 # ---------------------------------------------------------------------------
@@ -219,7 +217,7 @@ class QrdResult:
 
 
 def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
-        quantize: Quantizer = None) -> QrdResult:
+        quantize: Callable = _keep) -> QrdResult:
     """QR decomposition by column-wise Givens elimination.
 
     Parameters
@@ -234,7 +232,8 @@ def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
     c_const : float
         Constant cosine used by the modified rotation.
     quantize : callable, optional
-        Rounding hook applied to rows of R and T after each rotation.
+        Rounding hook applied to rows of R and T after each rotation; the
+        default keeps every value.
     """
     if mode not in ("exact", "modified"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,11 +258,10 @@ def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
             # the annihilated slot is declared zero; anything left there is
             # rotation error and lands in reconstruction_error instead
             r[row, col] = 0.0
-            if quantize is not None:
-                r[col, :] = quantize(r[col, :])
-                r[row, :] = quantize(r[row, :])
-                t[col, :] = quantize(t[col, :])
-                t[row, :] = quantize(t[row, :])
+            r[col, :] = quantize(r[col, :])
+            r[row, :] = quantize(r[row, :])
+            t[col, :] = quantize(t[col, :])
+            t[row, :] = quantize(t[row, :])
     q = np.conj(t.T)
     err = float(np.linalg.norm(q @ r - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
     return QrdResult(q=q, r=r, reconstruction_error=err)
@@ -274,7 +272,7 @@ def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def cholesky(z: np.ndarray, quantize: Quantizer = None) -> np.ndarray:
+def cholesky(z: np.ndarray, quantize: Callable = _keep) -> np.ndarray:
     """Lower Cholesky factor of a Hermitian positive definite matrix.
 
     Left-looking column algorithm; each stored column passes through the
@@ -291,18 +289,18 @@ def cholesky(z: np.ndarray, quantize: Quantizer = None) -> np.ndarray:
         d = float(v[0].real)
         if d <= 0.0:
             raise NonPositivePivotError(j, d)
-        piv = _apply(quantize, np.sqrt(d))
+        piv = quantize(np.sqrt(d))
         piv = float(np.real(piv))
         if piv <= 0.0:
             raise NonPositivePivotError(j, piv)
         low[j, j] = piv
         if j + 1 < k:
-            low[j + 1:, j] = _apply(quantize, v[1:] / piv)
+            low[j + 1:, j] = quantize(v[1:] / piv)
     return low
 
 
 def forward_substitute(low: np.ndarray, v: np.ndarray,
-                       quantize: Quantizer = None) -> np.ndarray:
+                       quantize: Callable = _keep) -> np.ndarray:
     """Solve ``low @ x = v`` with ``low`` lower triangular.
 
     ``v`` may be a vector or a (K, N) batch of right-hand sides.
@@ -314,12 +312,12 @@ def forward_substitute(low: np.ndarray, v: np.ndarray,
     for i in range(k):
         if low[i, i] == 0:
             raise ZeroDiagonalError(i)
-        x[i] = _apply(quantize, (v[i] - low[i, :i] @ x[:i]) / low[i, i])
+        x[i] = quantize((v[i] - low[i, :i] @ x[:i]) / low[i, i])
     return x
 
 
 def back_substitute(upper: np.ndarray, v: np.ndarray,
-                    quantize: Quantizer = None) -> np.ndarray:
+                    quantize: Callable = _keep) -> np.ndarray:
     """Solve ``upper @ x = v`` with ``upper`` upper triangular."""
     upper = np.asarray(upper)
     k = upper.shape[0]
@@ -328,5 +326,5 @@ def back_substitute(upper: np.ndarray, v: np.ndarray,
     for i in range(k - 1, -1, -1):
         if upper[i, i] == 0:
             raise ZeroDiagonalError(i)
-        x[i] = _apply(quantize, (v[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i])
+        x[i] = quantize((v[i] - upper[i, i + 1:] @ x[i + 1:]) / upper[i, i])
     return x

@@ -135,7 +135,7 @@ def test_03_one_bit_distortion_ratio(acceptance_log):
 def test_04_zero_forcing_crosstalk_floor(acceptance_log):
     g = draw_iid_rayleigh(64, 8, stream_rng(404, 0))
     a = precode(g, "zf")
-    mui = mui_db(g.T @ a.matrix)
+    mui = mui_db(g.T @ a)
     ok = mui < -180.0
     assert _record(
         acceptance_log, ok,
@@ -272,9 +272,9 @@ def test_09_reciprocity_calibration(acceptance_log):
         g = draw_iid_rayleigh(16, 16, stream_rng(909, t, 0))
         fe = draw_front_end_set(16, 16, 1.0, 5.0, stream_rng(909, t, 1))
         up, dn = build_nonreciprocal(g, fe)
-        uncal.append(mui_db(dn.T @ precode(up, "zf").matrix))
+        uncal.append(mui_db(dn.T @ precode(up, "zf")))
         w = calibrate(fe)
-        genie.append(mui_db(dn.T @ precode(w[:, None] * up, "zf").matrix))
+        genie.append(mui_db(dn.T @ precode(w[:, None] * up, "zf")))
         # after array-side correction only a per-user scalar remains
         ratio = dn / (w[:, None] * up)
         worst_col_dev = max(worst_col_dev,
@@ -316,7 +316,7 @@ def test_11_property_suites_per_seed(acceptance_log):
         g = draw_iid_rayleigh(256, 16, rng)
         ok = ok and abs(np.mean(np.abs(g) ** 2) - 1.0) < 0.05
         ok = ok and float(np.linalg.eigvalsh(gram(g)).min()) > 0.0
-        d = g.T @ precode(g, "zf").matrix
+        d = g.T @ precode(g, "zf")
         ok = ok and np.abs(np.diag(d) - d[0, 0]).max() < 1e-9
         x = rng.standard_normal(1000)
         q = fxp_quantize(x, fmt)

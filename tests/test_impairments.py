@@ -160,7 +160,7 @@ class TestCalibration:
         ul, dl = build_nonreciprocal(g, fe)
         w = calibrate(fe)
         a = precode(w[:, None] * ul, "zf")
-        assert mui_db(dl.T @ a.matrix) < -200.0
+        assert mui_db(dl.T @ a) < -200.0
 
     def test_residual_error_tracks_target(self, master_seed):
         # -40 dB residual leaves MUI in the -40 dB neighborhood
@@ -172,7 +172,7 @@ class TestCalibration:
             w = calibrate(fe, residual_error_db=-40.0,
                           rng=stream_rng(master_seed, t, 2))
             a = precode(w[:, None] * ul, "zf")
-            vals.append(mui_db(dl.T @ a.matrix))
+            vals.append(mui_db(dl.T @ a))
         med = np.median(vals)
         assert -50.0 < med < -32.0
 

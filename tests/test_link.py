@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import comb
 
-from mimodsp import (PaModel, SimConfig, run_downlink_evm, run_outage_study,
-                     run_uplink_ber, snr_at_ber)
+from mimodsp import (PaModel, SimConfig, run_calibration_study,
+                     run_downlink_evm, run_outage_study, run_uplink_ber,
+                     snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
+from mimodsp.link import sim
 from mimodsp.link.sim import BerPoint, BerResult
+
+
+def _no_draw(*args):
+    raise AssertionError("a channel was drawn before the arguments were checked")
 
 
 def _zf_qpsk_ber_rayleigh(m, k, snr_db):
@@ -264,13 +270,30 @@ class TestDownlinkEvm:
                                     trials=3, seed=4)
         assert explicit == implicit
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        # every bad argument is named before the first channel is drawn
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
         with pytest.raises(ValueError, match="m_list"):
             run_downlink_evm([], k=2, pa=PaModel())
         with pytest.raises(ValueError, match="trials"):
             run_downlink_evm([8], k=2, pa=PaModel(), trials=0)
         with pytest.raises(ValueError, match="m_list"):
             run_downlink_evm([4], k=8, pa=PaModel())
+        with pytest.raises(ValueError, match="uses"):
+            run_downlink_evm([8], k=2, pa=PaModel(), uses=0)
+        with pytest.raises(ValueError, match="m_list: 5 antennas"):
+            run_downlink_evm([30, 5], k=10, pa=PaModel())
+        with pytest.raises(ValueError, match="m_ref"):
+            run_downlink_evm([8], k=2, pa=PaModel(), m_ref=0)
+
+
+class TestCalibrationStudy:
+    def test_validation(self, monkeypatch):
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
+        with pytest.raises(ValueError, match="^trials:"):
+            run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=0)
+        with pytest.raises(ValueError, match="^k:"):
+            run_calibration_study(4, 8, 1.0, 5.0, (-40.0,), trials=2)
 
 
 class TestOutageStudy:
