@@ -16,7 +16,7 @@ from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
                         aggregate_mf, centralized_link_load, group_link_load,
                         interconnect_rate, local_gram, local_mf, partition,
                         split_rows)
-from .equalization import (NsaDivergenceWarning, UplinkDetector, WnsaConfig,
+from .equalization import (NsaDivergenceWarning, UplinkDetector,
                            build_uplink_detector, combiner_exact,
                            fit_wnsa_weights, nsa_inverse, post_combining_sinr,
                            precode, wnsa_inverse)

@@ -30,10 +30,12 @@ from . import __version__
 from .channel import hardening_variance, stream_rng
 from .complexity import ALGORITHMS, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
+from .equalization import PRECODERS
 from .impairments import PaModel
 from .link import (SimConfig, run_calibration_study, run_downlink_evm,
                    run_outage_study, run_uplink_ber)
 from .link.modem import _ORDERS
+from .link.sim import FAULT_POLICIES, outage_configs
 
 log = logging.getLogger("mimodsp")
 
@@ -202,16 +204,15 @@ def _build_fxp_sweep(s: _Schema, seed: int, workers: int) -> Callable:
 def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
     fractions = s.take("fractions", Tuple[float, ...], default=(),
                        required=True)
-    policy = s.take("policy", str, required=True, choices={"ignore", "exclude"})
+    policy = s.take("policy", str, required=True, choices=FAULT_POLICIES)
     target = s.take("target_ber", float, required=True)
-    if target is not None and not 0.0 < target < 1.0:
-        s.errors.append(f"target_ber: {target} outside (0, 1)")
-    bad = [f for f in fractions if not 0.0 <= f < 1.0]
-    if bad:
-        s.errors.append(f"fractions: {bad} outside [0, 1)")
     # the study sets the victims itself
     cfg = _read(s, SimConfig, seed=seed, victim_policy="none",
                 victim_fraction=0.0)
+    try:
+        outage_configs(cfg, fractions, policy, target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     def run():
         res = run_outage_study(cfg, fractions, policy, target,
@@ -230,7 +231,7 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
     trials = s.take("trials", int, default=20, minimum=1)
     uses = s.take("uses", int, default=64, minimum=1)
     backoff = s.take("backoff_db", float, default=0.0)
-    precoder = s.take("precoder", str, default="zf", choices={"mr", "zf", "rzf"})
+    precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     constellation = s.take("constellation", str, default="qpsk")
     m_ref = s.take("m_ref", int, minimum=1)
     ps = _Schema(s.take("pa", dict, default={}), "pa")
@@ -319,7 +320,7 @@ def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
     residuals = s.take("residual_error_db", Tuple[float, ...],
                        default=(-40.0,))
     trials = s.take("trials", int, default=100, minimum=1)
-    precoder = s.take("precoder", str, default="zf", choices={"mr", "zf", "rzf"})
+    precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     if m and k and k > m:
         s.errors.append(f"k: {k} users exceed {m} antennas")
 

@@ -1,6 +1,6 @@
 """Uplink detectors and downlink precoders, exact and hardware-friendly.
 
-Exact linear processing (MR / ZF / MMSE / RZF) is one regularized inverse
+Exact linear processing (MR / ZF / MMSE) is one regularized inverse
 of the channel estimate, returned as an (M, K) array.  The remaining
 methods avoid the explicit Gram inverse: truncated and weighted Neumann
 series, coordinate descent on the regularized least-squares objective,
@@ -31,14 +31,15 @@ from .numerics import (
 )
 
 __all__ = [
-    "WnsaConfig",
     "NsaDivergenceWarning",
     "combiner_exact",
+    "PRECODERS",
     "precode",
     "post_combining_sinr",
     "nsa_inverse",
     "wnsa_inverse",
     "fit_wnsa_weights",
+    "MAX_SERIES_ORDER",
     "DETECTORS",
     "UplinkDetector",
     "build_uplink_detector",
@@ -51,22 +52,12 @@ class NsaDivergenceWarning(UserWarning):
     """Spectral-radius precondition of the Neumann series failed."""
 
 
+MAX_SERIES_ORDER = 10
+
+
 def _check_order(order: int) -> None:
-    if not 0 <= order <= 10:
-        raise ValueError("series order must be within 0..10")
-
-
-@dataclass(frozen=True)
-class WnsaConfig:
-    """Weighted series: order plus one real weight per power of B."""
-
-    order: int
-    weights: tuple = ()
-
-    def __post_init__(self):
-        _check_order(self.order)
-        if len(self.weights) != self.order + 1:
-            raise ValueError("need order + 1 weights")
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be within 0..{MAX_SERIES_ORDER}")
 
 
 def _validate_channel(g: np.ndarray) -> np.ndarray:
@@ -115,18 +106,20 @@ def combiner_exact(g_hat: np.ndarray, method: str,
     return a * (1.0 / gains.real)[None, :]
 
 
-def precode(g_hat: np.ndarray, method: str, total_power: float = 1.0,
-            ridge: float = 0.0) -> np.ndarray:
-    """(M, K) MR, ZF, or RZF transmit precoder under a sum-power constraint.
+PRECODERS = {"mr": None, "zf": 0.0}     # name -> nu; None gives MR columns
 
-    Columns, conjugates of the combiner's (RZF is MMSE at ``N0 = ridge``),
-    are first normalized to unit downlink gain (``g_k^T a_k = 1``), then
-    scaled by a common factor so that ``E||A x||^2 = total_power`` for
-    unit-power symbols.  With equal per-user gains this radiates equal
-    received signal strength to every user.
+
+def precode(g_hat: np.ndarray, method: str,
+            total_power: float = 1.0) -> np.ndarray:
+    """(M, K) MR or ZF transmit precoder under a sum-power constraint.
+
+    Columns, conjugates of the combiner's, are first normalized to unit
+    downlink gain (``g_k^T a_k = 1``), then scaled by a common factor so
+    that ``E||A x||^2 = total_power`` for unit-power symbols.  With equal
+    per-user gains this radiates equal received signal strength to every
+    user.
     """
-    a, gains = _channel_inverse(
-        g_hat, method, {"mr": None, "zf": 0.0, "rzf": ridge}, "precoder")
+    a, gains = _channel_inverse(g_hat, method, PRECODERS, "precoder")
     unit = np.conj(a) / gains[None, :]
     return unit * (np.sqrt(total_power) / np.linalg.norm(unit))
 
@@ -180,13 +173,13 @@ def _nsa_inverse_quantized(zbar, order, ov: FxpOverlay):
     return acc
 
 
-def _wnsa_inverse_quantized(zbar, cfg: WnsaConfig, ov: FxpOverlay):
+def _wnsa_inverse_quantized(zbar, weights, ov: FxpOverlay):
     k = zbar.shape[0]
     dinv_sqrt = 1.0 / np.sqrt(np.diag(zbar).real)
     b = ov.q_operator(_whitened_offdiag(zbar))
     acc = np.zeros((k, k), dtype=complex)
     power = np.eye(k, dtype=complex)
-    for alpha in cfg.weights:
+    for alpha in weights:
         acc = ov.q_operator(acc + alpha * power)
         power = ov.q_operator(power @ b)
     return dinv_sqrt[:, None] * acc * dinv_sqrt[None, :]
@@ -207,37 +200,42 @@ def nsa_inverse(z: np.ndarray, order: int) -> np.ndarray:
     return _nsa_inverse_quantized(z, order, _IDENTITY)
 
 
-def fit_wnsa_weights(z: np.ndarray, order: int, samples: int = 31) -> WnsaConfig:
+def fit_wnsa_weights(z: np.ndarray, order: int) -> tuple:
     """Least-squares weights making the truncated series track ``1/(1-t)``.
 
     The weighted series replaces ``sum B^n`` by ``sum alpha_n B^n`` in the
     diagonally whitened domain.  On B's spectrum that is a scalar
     polynomial approximation of ``1/(1-t)``, so the weights are fitted on
-    uniform samples spanning the realization's eigenvalue range.  Falls
+    31 uniform samples spanning the realization's eigenvalue range.  Falls
     back to all-ones weights when the range collapses to a point.
+    Returns the ``order + 1`` weights, ``order`` within 0..10.
     """
+    _check_order(order)
     ev = np.linalg.eigvalsh(_whitened_offdiag(np.asarray(z)))
     lo, hi = float(ev.min()), float(ev.max())
     if hi - lo < 1e-12:
-        return WnsaConfig(order=order, weights=(1.0,) * (order + 1))
-    t = np.linspace(lo, hi, samples)
+        return (1.0,) * (order + 1)
+    t = np.linspace(lo, hi, 31)
     if np.any(np.abs(1.0 - t) < 1e-9):
         t = t + 1e-6
     v = np.vander(t, order + 1, increasing=True)
     alpha, *_ = np.linalg.lstsq(v, 1.0 / (1.0 - t), rcond=None)
-    return WnsaConfig(order=order, weights=tuple(float(a) for a in alpha))
+    return tuple(float(a) for a in alpha)
 
 
-def wnsa_inverse(z: np.ndarray, cfg: WnsaConfig) -> np.ndarray:
+def wnsa_inverse(z: np.ndarray, weights: tuple) -> np.ndarray:
     """Weighted Neumann inverse ``Zd^-1/2 (sum alpha_n B^n) Zd^-1/2``.
 
-    With all weights equal to one this reproduces :func:`nsa_inverse`
-    exactly; fitted weights extend the usable load range to Gram matrices
-    whose unweighted series diverges.
+    ``weights`` are ``alpha_0 .. alpha_n`` as :func:`fit_wnsa_weights`
+    returns them; the order ``n`` must lie within 0..10.  With all weights
+    equal to one this reproduces :func:`nsa_inverse` exactly; fitted
+    weights extend the usable load range to Gram matrices whose
+    unweighted series diverges.
     """
+    _check_order(len(weights) - 1)
     z = np.asarray(z)
     _check_radius(z)
-    return _wnsa_inverse_quantized(z, cfg, _IDENTITY)
+    return _wnsa_inverse_quantized(z, weights, _IDENTITY)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +323,8 @@ class UplinkDetector:
             if method == "nsa":
                 inv = _nsa_inverse_quantized(zbar, self.nsa_order, ov)
             else:
-                cfg = fit_wnsa_weights(zbar, self.nsa_order)
-                inv = _wnsa_inverse_quantized(zbar, cfg, ov)
+                weights = fit_wnsa_weights(zbar, self.nsa_order)
+                inv = _wnsa_inverse_quantized(zbar, weights, ov)
             self._state["inverse"] = ov.q_operator(inv)
         elif method == "chd":
             zbar = _regularized_gram(g, self.noise_var, ov)
@@ -400,11 +398,8 @@ class UplinkDetector:
 
 
 def build_uplink_detector(g_hat: np.ndarray, method: str, noise_var: float,
-                          overlay: Optional[FxpOverlay] = None,
-                          nsa_order: int = 3, cd_sweeps: int = 3,
-                          c_const: float = 1.0) -> UplinkDetector:
-    """Factory wrapper so call sites read as one line."""
-    return UplinkDetector(method=method, g_hat=np.asarray(g_hat),
-                          noise_var=noise_var, overlay=overlay,
-                          nsa_order=nsa_order, cd_sweeps=cd_sweeps,
-                          c_const=c_const)
+                          **knobs) -> UplinkDetector:
+    """:class:`UplinkDetector` with the channel first; ``knobs`` are its
+    ``overlay``, ``nsa_order``, ``cd_sweeps`` and ``c_const`` fields."""
+    return UplinkDetector(method=method, g_hat=g_hat, noise_var=noise_var,
+                          **knobs)

@@ -24,6 +24,7 @@ __all__ = [
     "draw_front_end_set",
     "build_nonreciprocal",
     "calibrate",
+    "FAULT_MODES",
     "CircuitErrorModel",
     "inject_errors",
     "sddr_db",
@@ -272,6 +273,9 @@ def mui_db(effective: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+FAULT_MODES = ("stuck_at_max", "stuck_at_value", "transient")
+
+
 @dataclass(frozen=True)
 class CircuitErrorModel:
     """Population of faulty per-antenna processing elements.
@@ -295,7 +299,7 @@ class CircuitErrorModel:
     def __post_init__(self):
         if not 0.0 <= self.victim_fraction <= 1.0:
             raise ValueError("victim_fraction must lie in [0, 1]")
-        if self.mode not in ("stuck_at_max", "stuck_at_value", "transient"):
+        if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown error mode {self.mode!r}")
         if self.mode == "transient" and not 0.0 <= self.p_error <= 1.0:
             raise ValueError("p_error must lie in [0, 1]")

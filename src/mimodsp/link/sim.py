@@ -25,10 +25,12 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
-from ..equalization import DETECTORS, build_uplink_detector, precode
-from ..impairments import (CircuitErrorModel, PaModel, build_nonreciprocal,
-                           calibrate, draw_front_end_set, evm_db,
-                           inject_errors, mui_db, pa_apply, quantize_adc)
+from ..equalization import (DETECTORS, MAX_SERIES_ORDER,
+                            build_uplink_detector, precode)
+from ..impairments import (FAULT_MODES, CircuitErrorModel, PaModel,
+                           build_nonreciprocal, calibrate, draw_front_end_set,
+                           evm_db, inject_errors, mui_db, pa_apply,
+                           quantize_adc)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
 from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
@@ -36,10 +38,11 @@ from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
     "EvmPoint", "run_downlink_evm", "run_calibration_study",
-    "OutagePoint", "OutageResult", "run_outage_study", "snr_at_ber",
+    "FAULT_POLICIES", "OutagePoint", "OutageResult", "outage_configs",
+    "run_outage_study", "snr_at_ber",
 ]
 
-_POLICIES = ("none", "ignore", "exclude")
+FAULT_POLICIES = ("ignore", "exclude")    # "none": no faults injected
 
 
 @dataclass
@@ -101,13 +104,18 @@ class SimConfig:
                         "set both or neither")
         if self.adc_bits is not None and self.adc_bits < 1:
             errs.append("adc_bits: must be positive")
-        if self.nsa_order < 0 or self.nsa_order > 10:
-            errs.append("nsa_order: outside 0..10")
+        if not 0 <= self.nsa_order <= MAX_SERIES_ORDER:
+            errs.append(f"nsa_order: outside 0..{MAX_SERIES_ORDER}")
         if self.cd_sweeps < 1:
             errs.append("cd_sweeps: must be positive")
         if not 0.0 <= self.victim_fraction < 1.0:
             errs.append("victim_fraction: outside [0, 1)")
-        if self.victim_policy not in _POLICIES:
+        if self.victim_mode not in FAULT_MODES:
+            errs.append(f"victim_mode: unknown {self.victim_mode!r}")
+        elif self.victim_mode == "transient":
+            errs.append("victim_mode: transient flips no bits, as no field "
+                        "sets its bit-error probability")
+        if self.victim_policy not in ("none", *FAULT_POLICIES):
             errs.append(f"victim_policy: unknown {self.victim_policy!r}")
         if self.victim_fraction > 0.0 and self.victim_policy == "none":
             errs.append("victim_policy: faults injected but no policy chosen")
@@ -403,28 +411,43 @@ def snr_at_ber(result: BerResult, target: float) -> Tuple[float, str]:
     return math.inf, "above_grid"
 
 
+def outage_configs(cfg: SimConfig, fractions: Sequence[float], policy: str,
+                   target_ber: float) -> Tuple[SimConfig, ...]:
+    """An outage study's runs: ``cfg`` without faults, then ``cfg`` at each
+    of ``fractions``, all checked (with ``policy`` and ``target_ber``)
+    before the first one runs."""
+    if policy not in FAULT_POLICIES:
+        raise ValueError(f"policy: unknown {policy!r}")
+    if not 0.0 < target_ber < 1.0:
+        raise ValueError(f"target_ber: {target_ber} outside (0, 1)")
+    configs = []
+    for frac in (0.0, *fractions):
+        configs.append(replace(cfg, victim_fraction=float(frac),
+                               victim_policy=policy if frac > 0 else "none"))
+        try:
+            configs[-1].validate()
+        except ValueError as exc:
+            raise ValueError(f"fractions: {frac}: {exc}" if frac
+                             else str(exc)) from None
+    return tuple(configs)
+
+
 def run_outage_study(cfg: SimConfig, fractions: Sequence[float],
                      policy: str, target_ber: float,
                      workers: int = 1) -> OutageResult:
     """SNR penalty at a target BER versus faulty-antenna fraction.
 
-    The baseline reruns ``cfg`` with no faults; each fraction reruns it
-    with the given handling policy.  Identical random streams across
-    runs make the penalty a paired comparison.
+    Runs the configs of :func:`outage_configs`.  Identical random streams
+    across runs make the penalty a paired comparison.
     """
-    if policy not in ("ignore", "exclude"):
-        raise ValueError(f"policy: unknown {policy!r}")
-    base_cfg = replace(cfg, victim_fraction=0.0, victim_policy="none")
+    base_cfg, *run_cfgs = outage_configs(cfg, fractions, policy, target_ber)
     base = run_uplink_ber(base_cfg, workers=workers)
     base_snr, base_status = snr_at_ber(base, target_ber)
     if base_status != "ok":
         raise RuntimeError(f"baseline never reaches BER {target_ber:g} "
                            f"inside the SNR grid ({base_status})")
     points = []
-    for frac in fractions:
-        run_cfg = replace(cfg, victim_fraction=float(frac),
-                          victim_policy=policy if frac > 0 else "none")
-        run_cfg.validate()
+    for frac, run_cfg in zip(fractions, run_cfgs):
         table = run_uplink_ber(run_cfg, workers=workers)
         snr, status = snr_at_ber(table, target_ber)
         penalty = snr - base_snr if status == "ok" else math.inf

@@ -99,7 +99,7 @@ class TestRunBer:
                          frames=3, pilot_snr_db=20.0, signal_fraction_bits=10,
                          operator_fraction_bits=9, adc_bits=6, nsa_order=2,
                          cd_sweeps=4, c_const=0.9, victim_fraction=0.25,
-                         victim_mode="transient", victim_policy="ignore",
+                         victim_mode="stuck_at_value", victim_policy="ignore",
                          seed=5)
         # a key read and then dropped would leave its field at the default
         assert all(getattr(want, f.name) != f.default
@@ -265,6 +265,17 @@ class TestValidationFailures:
         (dict(_TINY_FXP, signal_fraction_bits=4, operator_fraction_bits=4),
          "signal_fraction_bits: unknown key"),
         (dict(_TINY_BER, frames=2.5), "frames: expected int, got 2.5"),
+        (dict(_TINY_OUTAGE, victim_mode="bogus"),
+         "victim_mode: unknown 'bogus'"),
+        (dict(_TINY_BER, victim_mode="transient"), "victim_mode: transient"),
+        (dict(_TINY_EVM, precoder="rzf"), "precoder: 'rzf' not one of"),
+        (dict(_TINY_CALIBRATION, precoder="rzf"),
+         "precoder: 'rzf' not one of"),
+        (dict(_TINY_OUTAGE, m=16, k=2, fractions=[0.25, 0.95]),
+         "fractions: 0.95: victim_fraction: exclusion leaves fewer"),
+        (dict(_TINY_OUTAGE, fractions=[0.1, 1.5]),
+         "fractions: 1.5: victim_fraction: outside [0, 1)"),
+        (dict(_TINY_OUTAGE, target_ber=2.0), "target_ber: 2.0 outside"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):

@@ -61,6 +61,10 @@ class TestSimConfigValidation:
                                           victim_policy="ignore"),
             "victim_policy:": SimConfig(m=8, k=2, snr_db=(0.0,),
                                         victim_fraction=0.2),
+            "victim_mode: unknown": SimConfig(m=8, k=2, snr_db=(0.0,),
+                                              victim_mode="bogus"),
+            "victim_mode: transient": SimConfig(m=8, k=2, snr_db=(0.0,),
+                                                victim_mode="transient"),
         }
         for tag, cfg in cases.items():
             with pytest.raises(ValueError, match=tag):
@@ -314,6 +318,23 @@ class TestOutageStudy:
         with pytest.raises(RuntimeError, match="baseline"):
             run_outage_study(cfg, fractions=(0.1,), policy="exclude",
                              target_ber=1e-3)
+
+    def test_every_run_is_checked_before_the_first(self, monkeypatch):
+        # the 0.95 fraction excludes below k: nothing may run before that
+        # is found, the fault-free baseline included
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before every config was "
+                                 "checked")
+
+        monkeypatch.setattr(sim, "run_uplink_ber", no_run)
+        cfg = SimConfig(m=16, k=2, snr_db=(0.0,), coded=False, frames=2)
+        with pytest.raises(ValueError,
+                           match="^fractions: 0.95: victim_fraction"):
+            run_outage_study(cfg, fractions=(0.25, 0.95), policy="exclude",
+                             target_ber=1e-3)
+        with pytest.raises(ValueError, match="^target_ber:"):
+            run_outage_study(cfg, fractions=(0.25,), policy="exclude",
+                             target_ber=0.0)
 
     def test_rejects_unknown_policy(self):
         cfg = SimConfig(m=12, k=3, snr_db=(0.0,), frames=2)

@@ -8,6 +8,8 @@ ALL_NAMES = ("qpsk", "16qam", "64qam", "256qam")
 
 RT2 = np.sqrt(2.0)
 RT10 = np.sqrt(10.0)
+RT42 = np.sqrt(42.0)
+RT170 = np.sqrt(170.0)
 
 
 @pytest.fixture(params=ALL_NAMES)
@@ -56,6 +58,29 @@ class TestConstellation:
             (3 - 3j) / RT10)
         assert map_bits(np.array([0, 0, 1, 0]), c)[0] == pytest.approx(
             (1 + 3j) / RT10)
+
+    @pytest.mark.parametrize("name, bits, want", [
+        ("64qam", [1, 0, 0, 0, 0, 0], (-7 + 7j) / RT42),
+        ("64qam", [0, 1, 0, 0, 0, 0], (7 - 7j) / RT42),
+        ("64qam", [0, 0, 1, 0, 0, 0], (1 + 7j) / RT42),
+        ("64qam", [0, 0, 0, 1, 0, 0], (7 + 1j) / RT42),
+        ("64qam", [0, 0, 0, 0, 1, 0], (5 + 7j) / RT42),
+        ("64qam", [0, 0, 0, 0, 0, 1], (7 + 5j) / RT42),
+        ("64qam", [0, 1, 1, 0, 1, 1], (3 - 5j) / RT42),
+        ("256qam", [1, 0, 0, 0, 0, 0, 0, 0], (-15 + 15j) / RT170),
+        ("256qam", [0, 1, 0, 0, 0, 0, 0, 0], (15 - 15j) / RT170),
+        ("256qam", [0, 0, 1, 0, 0, 0, 0, 0], (1 + 15j) / RT170),
+        ("256qam", [0, 0, 0, 0, 1, 0, 0, 0], (9 + 15j) / RT170),
+        ("256qam", [0, 0, 0, 0, 0, 0, 1, 0], (13 + 15j) / RT170),
+        ("256qam", [0, 0, 0, 0, 0, 0, 0, 1], (15 + 13j) / RT170),
+        ("256qam", [0, 1, 1, 0, 1, 1, 0, 1], (7 - 11j) / RT170),
+    ])
+    def test_higher_order_bit_interleaving(self, name, bits, want):
+        # the 16-QAM convention at 3 and 4 bits per axis: even positions
+        # form the I label and odd positions the Q label, MSB first
+        c = Constellation.from_name(name)
+        assert map_bits(np.array(bits), c)[0] == pytest.approx(want)
+        np.testing.assert_array_equal(demap_hard(np.array([want]), c), bits)
 
     def test_axis_labels_are_gray(self, constellation):
         # walking the axis in amplitude order flips exactly one label bit
