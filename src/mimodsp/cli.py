@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .channel import hardening_variance, stream_rng
-from .complexity import ALGORITHMS, table2_cost
+from .complexity import ALGORITHMS, ITERATIVE, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
 from .equalization import PRECODERS
 from .impairments import PaModel
@@ -59,7 +59,8 @@ class _Schema:
 
     def take(self, key, typ, default=None, required=False, choices=None,
              minimum=None):
-        """``key`` read as ``typ``; ``default`` when absent or invalid."""
+        """``key`` read as ``typ``; ``default`` when absent or invalid.
+        A name with ``choices`` is matched and returned in lower case."""
         self.seen.add(key)
         if key not in self.raw:
             if required:
@@ -76,10 +77,10 @@ class _Schema:
             self.errors.append(f"{key}: {'entries ' if many else ''}"
                                f"must be at least {minimum}")
             return default
-        if choices is not None and val not in choices:
+        if choices is not None and val.lower() not in choices:
             self.errors.append(f"{key}: {val!r} not one of {sorted(choices)}")
             return default
-        return val
+        return val if choices is None else val.lower()
 
     def check(self):
         if self.errors:
@@ -266,7 +267,7 @@ def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
     bad = sorted(set(algos) - set(ALGORITHMS))
     if bad:
         s.errors.append(f"algorithms: unknown {bad}")
-    iterative = sorted({"nsa", "cd"} & set(algos))
+    iterative = sorted(set(ITERATIVE) & set(algos))
     if iterative and order < 1:
         s.errors.append(f"nsa_order: {iterative} need at least 1")
     if m and k_list and any(k > m for k in k_list):

@@ -21,9 +21,11 @@ __all__ = [
     "dac_fom",
     "dynamic_power",
     "ALGORITHMS",
+    "ITERATIVE",
 ]
 
 ALGORITHMS = ("nsa", "chd", "mqrd", "cd")
+ITERATIVE = ("nsa", "cd")       # the algorithms that take an iteration count
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def table2_cost(alg: str, m: int, k: int, l: int | None = None) -> AlgoCost:
     alg = alg.lower()
     gram = 2 * m * k * (k + 1)          # Hermitian Gram, triangle only
     mf = 4 * k * m                      # matched filter per use
-    if alg in ("nsa", "cd") and (l is None or l < 1):
+    if alg in ITERATIVE and (l is None or l < 1):
         raise ValueError(f"{alg} needs an iteration count")
     if alg == "nsa":
         per_real = gram + 8 * k ** 2 + 4 * (l - 1) * k ** 3

@@ -12,6 +12,11 @@ channels, payloads, and unit-variance noise are reused across SNR
 points (common random numbers) and results do not depend on how frames
 are split across workers.  SNR is defined as 1 / N0 with unit-power
 transmit symbols and unit-variance channel entries per receive antenna.
+
+A worker task is one frame chunk over the whole grid.  Each frame's data
+is built once and run at every SNR point; coded rows of all points wait
+in one queue, tagged with their point, and are decoded together once
+``_DECODE_ROWS`` wait, so memory grows with neither frames nor grid.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
-from ..equalization import (DETECTORS, MAX_SERIES_ORDER,
+from ..equalization import (DETECTORS, MAX_SERIES_ORDER, PRECODERS,
                             build_uplink_detector, precode)
 from ..impairments import (FAULT_MODES, CircuitErrorModel, PaModel,
                            build_nonreciprocal, calibrate, draw_front_end_set,
@@ -43,6 +48,8 @@ __all__ = [
 ]
 
 FAULT_POLICIES = ("ignore", "exclude")    # "none": no faults injected
+# Coded rows queued before one Viterbi call: 384 rows of 2048 LLRs are 6 MB.
+_DECODE_ROWS = 384
 
 
 @dataclass
@@ -188,37 +195,49 @@ def _apply_front_end(cfg: SimConfig, frame: int, y, g_hat):
     return y, g_hat
 
 
-def _simulate_frames(cfg: SimConfig, snr_db: float,
-                     frames: Sequence[int]) -> int:
-    """Bit errors over a frame range at one SNR point."""
+def _simulate_frames(cfg: SimConfig, frames: Sequence[int]) -> list:
+    """Bit errors per SNR point over a frame range, frame-major."""
     const = Constellation.from_name(cfg.constellation)
-    noise_var = 10.0 ** (-snr_db / 10.0)
     overlay = cfg.overlay()
     n_info = cfg.info_bits_per_stream()
-    errors = 0
-    llr_rows = [] if cfg.coded else None
-    ref_rows = [] if cfg.coded else None
+    errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
+    queue = []      # (point, llr rows, info bits), k rows each
+    last = len(cfg.snr_db) - 1
     for frame in frames:
         g, g_hat, bits, x, w = _frame_data(cfg, frame, const)
-        y = g @ x + np.sqrt(noise_var) * w
-        y, g_eff = _apply_front_end(cfg, frame, y, g_hat)
-        det = build_uplink_detector(g_eff, cfg.detector, noise_var,
-                                    overlay=overlay, nsa_order=cfg.nsa_order,
-                                    cd_sweeps=cfg.cd_sweeps,
-                                    c_const=cfg.c_const)
-        xhat = det.detect(y)
-        if cfg.coded:
-            llr_rows.append(demap_soft(xhat, const, noise_var))
-            ref_rows.append(bits)
-        else:
-            hard = demap_hard(xhat, const)
-            errors += int(np.count_nonzero(hard != bits))
-    if cfg.coded:
-        llrs = np.concatenate(llr_rows, axis=0)
-        refs = np.concatenate(ref_rows, axis=0)
-        decoded = viterbi_decode(llrs, n_info=n_info)
-        errors = int(np.count_nonzero(decoded != refs))
-    return errors
+        gx = g @ x
+        for point, snr_db in enumerate(cfg.snr_db):
+            noise_var = 10.0 ** (-snr_db / 10.0)
+            y = gx + np.sqrt(noise_var) * w
+            if point == last:
+                del gx      # read by no later point: free it for the detector
+            y, g_eff = _apply_front_end(cfg, frame, y, g_hat)
+            det = build_uplink_detector(g_eff, cfg.detector, noise_var,
+                                        overlay=overlay,
+                                        nsa_order=cfg.nsa_order,
+                                        cd_sweeps=cfg.cd_sweeps,
+                                        c_const=cfg.c_const)
+            xhat = det.detect(y)
+            if cfg.coded:
+                queue.append((point, demap_soft(xhat, const, noise_var), bits))
+                if len(queue) * cfg.k >= _DECODE_ROWS:
+                    _decode_queue(queue, n_info, errors)
+            else:
+                errors[point] += np.count_nonzero(demap_hard(xhat, const)
+                                                  != bits)
+    if queue:
+        _decode_queue(queue, n_info, errors)
+    return errors.tolist()
+
+
+def _decode_queue(queue: list, n_info: int, errors: np.ndarray) -> None:
+    """Decode every queued row in one Viterbi call, add each row's bit
+    errors to its point, and empty the queue."""
+    points, llrs, refs = zip(*queue)
+    decoded = viterbi_decode(np.concatenate(llrs), n_info=n_info)
+    wrong = np.count_nonzero(decoded != np.concatenate(refs), axis=1)
+    np.add.at(errors, np.repeat(points, len(refs[0])), wrong)
+    queue.clear()
 
 
 def _one_blas_thread() -> None:
@@ -255,20 +274,17 @@ def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
     bounds = np.linspace(0, cfg.frames, workers + 1).astype(int)
     chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
               if hi > lo]
-    # one task per (SNR point, frame chunk), all run by one pool
-    n = len(chunks)
-    args = (repeat(cfg), [snr for snr in cfg.snr_db for _ in chunks],
-            chunks * len(cfg.snr_db))
-    if n == 1:
-        task_errors = list(map(_simulate_frames, *args))
+    # one task per frame chunk, each over the whole grid
+    args = (repeat(cfg), chunks)
+    if len(chunks) == 1:
+        chunk_errors = list(map(_simulate_frames, *args))
     else:
-        with ProcessPoolExecutor(max_workers=n,
+        with ProcessPoolExecutor(max_workers=len(chunks),
                                  initializer=_one_blas_thread) as pool:
-            task_errors = list(pool.map(_simulate_frames, *args))
+            chunk_errors = list(pool.map(_simulate_frames, *args))
     total = cfg.frames * cfg.k * cfg.info_bits_per_stream()
     points = []
-    for i, snr in enumerate(cfg.snr_db):
-        errors = sum(task_errors[i * n:(i + 1) * n])
+    for snr, errors in zip(cfg.snr_db, map(sum, zip(*chunk_errors))):
         ber = errors / total
         stderr = math.sqrt(max(ber * (1.0 - ber), 0.0) / total)
         points.append(BerPoint(snr_db=float(snr), n_bits=total,
@@ -314,6 +330,8 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
     m_ref = min(m_list) if m_ref is None else m_ref
     if m_ref < 1:
         raise ValueError("m_ref: must be positive")
+    if precoder.lower() not in PRECODERS:
+        raise ValueError(f"precoder: unknown {precoder!r}")
     const = Constellation.from_name(constellation)
     out = []
     for m in m_list:
@@ -354,6 +372,8 @@ def run_calibration_study(m: int, k: int, gain_bound_db: float,
         raise ValueError("trials: must be positive")
     if k > m:
         raise ValueError(f"k: {k} users exceed {m} antennas")
+    if precoder.lower() not in PRECODERS:
+        raise ValueError(f"precoder: unknown {precoder!r}")
 
     def mui(g_for_precoder, downlink):
         return mui_db(downlink.T @ precode(g_for_precoder, precoder))

@@ -183,6 +183,22 @@ class TestRunAnalytic:
             "calibrated,-20.0,-21.0390",
         ]
 
+    def test_calibration_precoder_name_is_case_insensitive(self, tmp_path,
+                                                           capsys):
+        # validate matches names as the library does, and the run uses them
+        bodies = []
+        for name in ("ZF", "zf"):
+            cfg = _write_config(tmp_path, dict(_TINY_CALIBRATION,
+                                               precoder=name))
+            assert main(["validate", "--config", cfg]) == 0
+            assert capsys.readouterr().out == "ok\n"
+            out = tmp_path / f"calibration-{name}.csv"
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            capsys.readouterr()
+            bodies.append([line for line in out.read_text().splitlines()
+                           if not line.startswith("# ")])
+        assert bodies[0] == bodies[1]
+
     def test_hardening_run(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "experiment": "hardening",

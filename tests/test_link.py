@@ -1,5 +1,6 @@
 """Link-level Monte-Carlo plumbing: configs, BER curves, EVM, outage."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mimodsp import (PaModel, SimConfig, run_calibration_study,
                      run_downlink_evm, run_outage_study, run_uplink_ber,
                      snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
-from mimodsp.link import sim
+from mimodsp.link import sim, viterbi_decode
 from mimodsp.link.sim import BerPoint, BerResult
 
 
@@ -141,13 +142,54 @@ class TestUplinkBerMechanics:
         assert [p.n_errors for p in a.points] == [p.n_errors for p in b.points]
 
     def test_workers_do_not_change_the_answer(self):
-        # 7 frames split unevenly over 2 and 3 workers, at several points
-        cfg = SimConfig(m=8, k=2, snr_db=(-12.0, -9.0, -6.0), coded=True,
-                        coherence_uses=128, frames=7, seed=9)
-        serial = [tuple(p) for p in run_uplink_ber(cfg, workers=1).points]
-        for workers in (2, 3):
-            parallel = run_uplink_ber(cfg, workers=workers).points
-            assert [tuple(p) for p in parallel] == serial
+        # 7 frames split unevenly over 2 and 3 workers, at several points:
+        # coded, and uncoded with an overlay and excluded victims
+        coded = SimConfig(m=8, k=2, snr_db=(-12.0, -9.0, -6.0), coded=True,
+                          coherence_uses=128, frames=7, seed=9)
+        uncoded = SimConfig(m=10, k=2, snr_db=(-6.0, -3.0, 0.0),
+                            detector="chd", coded=False, coherence_uses=128,
+                            frames=7, signal_fraction_bits=6,
+                            operator_fraction_bits=6, victim_fraction=0.2,
+                            victim_policy="exclude", seed=9)
+        for cfg in (coded, uncoded):
+            serial = run_uplink_ber(cfg, workers=1).points
+            assert any(p.n_errors for p in serial)
+            for workers in (2, 3):
+                assert run_uplink_ber(cfg, workers=workers).points == serial
+
+    # 18 frames x 3 points x 16 rows: each chunk of 9 or 18 frames passes
+    # _DECODE_ROWS, so a Viterbi call holds rows of several points, while
+    # one point's rows of all 18 frames fit one call
+    _PAST_THE_QUEUE = SimConfig(m=20, k=16, snr_db=(-6.0, -4.0, -2.0),
+                                coded=True, coherence_uses=16, frames=18,
+                                seed=3)
+
+    def test_decode_queue_spans_points(self):
+        cfg = self._PAST_THE_QUEUE
+        assert 9 * len(cfg.snr_db) * cfg.k > sim._DECODE_ROWS
+        assert cfg.frames * cfg.k < sim._DECODE_ROWS
+        one_by_one = [run_uplink_ber(replace(cfg, snr_db=(snr,))).points[0]
+                      for snr in cfg.snr_db]
+        assert any(p.n_errors for p in one_by_one)
+        for workers in (1, 2):
+            assert run_uplink_ber(cfg, workers=workers).points == tuple(
+                one_by_one)
+
+    def test_decode_batches_are_bounded(self, monkeypatch):
+        # a batch is flushed once _DECODE_ROWS rows wait, so it holds at
+        # most k - 1 rows more; every row is decoded once
+        batches = []
+
+        def counting_decode(llrs, n_info=None):
+            batches.append(len(llrs))
+            return viterbi_decode(llrs, n_info=n_info)
+
+        monkeypatch.setattr(sim, "viterbi_decode", counting_decode)
+        cfg = self._PAST_THE_QUEUE
+        run_uplink_ber(cfg)
+        assert len(batches) > 1
+        assert max(batches) <= sim._DECODE_ROWS + cfg.k - 1
+        assert sum(batches) == cfg.frames * len(cfg.snr_db) * cfg.k
 
     def test_coding_gain(self):
         base = dict(m=16, k=4, snr_db=(-7.0,), coherence_uses=512,
@@ -289,6 +331,8 @@ class TestDownlinkEvm:
             run_downlink_evm([30, 5], k=10, pa=PaModel())
         with pytest.raises(ValueError, match="m_ref"):
             run_downlink_evm([8], k=2, pa=PaModel(), m_ref=0)
+        with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
+            run_downlink_evm([8], k=2, pa=PaModel(), precoder="bogus")
 
 
 class TestCalibrationStudy:
@@ -298,6 +342,9 @@ class TestCalibrationStudy:
             run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=0)
         with pytest.raises(ValueError, match="^k:"):
             run_calibration_study(4, 8, 1.0, 5.0, (-40.0,), trials=2)
+        with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
+            run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=2,
+                                  precoder="bogus")
 
 
 class TestOutageStudy:
