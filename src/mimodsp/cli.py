@@ -60,7 +60,7 @@ class _Schema:
     def take(self, key, typ, default=None, required=False, choices=None,
              minimum=None):
         """``key`` read as ``typ``; ``default`` when absent or invalid.
-        A name with ``choices`` is matched and returned in lower case."""
+        Names with ``choices``, one or a tuple, are returned in lower case."""
         self.seen.add(key)
         if key not in self.raw:
             if required:
@@ -72,15 +72,18 @@ class _Schema:
             self.errors.append(f"{key}: {exc}")
             return default
         many = isinstance(val, tuple)
-        if minimum is not None and any(v < minimum
-                                       for v in (val if many else (val,))):
+        vals = val if many else (val,)
+        if minimum is not None and any(v < minimum for v in vals):
             self.errors.append(f"{key}: {'entries ' if many else ''}"
                                f"must be at least {minimum}")
             return default
-        if choices is not None and val.lower() not in choices:
+        if choices is None:
+            return val
+        names = tuple(v.lower() for v in vals)
+        if any(n not in choices for n in names):
             self.errors.append(f"{key}: {val!r} not one of {sorted(choices)}")
             return default
-        return val if choices is None else val.lower()
+        return names if many else names[0]
 
     def check(self):
         if self.errors:
@@ -263,10 +266,8 @@ def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
     k_list = s.take("k_list", Tuple[int, ...], required=True, minimum=1)
     order = s.take("nsa_order", int, default=3)
     uses = s.take("coherence_uses", int, default=512, minimum=1)
-    algos = s.take("algorithms", Tuple[str, ...], default=ALGORITHMS)
-    bad = sorted(set(algos) - set(ALGORITHMS))
-    if bad:
-        s.errors.append(f"algorithms: unknown {bad}")
+    algos = s.take("algorithms", Tuple[str, ...], default=ALGORITHMS,
+                   choices=ALGORITHMS)
     iterative = sorted(set(ITERATIVE) & set(algos))
     if iterative and order < 1:
         s.errors.append(f"nsa_order: {iterative} need at least 1")

@@ -26,6 +26,7 @@ __all__ = [
     "calibrate",
     "FAULT_MODES",
     "CircuitErrorModel",
+    "draw_victims",
     "inject_errors",
     "sddr_db",
     "per_antenna_sddr_db",

@@ -14,8 +14,9 @@ are split across workers.  SNR is defined as 1 / N0 with unit-power
 transmit symbols and unit-variance channel entries per receive antenna.
 
 A worker task is one frame chunk over the whole grid.  Each frame's data
-is built once and run at every SNR point; coded rows of all points wait
-in one queue, tagged with their point, and are decoded together once
+(faulty antennas too: ``exclude`` drops them once per frame) is built
+once and run at every SNR point; coded rows of all points wait in one
+queue, tagged with their point, and are decoded together once
 ``_DECODE_ROWS`` wait, so memory grows with neither frames nor grid.
 """
 from __future__ import annotations
@@ -34,8 +35,8 @@ from ..equalization import (DETECTORS, MAX_SERIES_ORDER, PRECODERS,
                             build_uplink_detector, precode)
 from ..impairments import (FAULT_MODES, CircuitErrorModel, PaModel,
                            build_nonreciprocal, calibrate, draw_front_end_set,
-                           evm_db, inject_errors, mui_db, pa_apply,
-                           quantize_adc)
+                           draw_victims, evm_db, inject_errors, mui_db,
+                           pa_apply, quantize_adc)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
 from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
@@ -181,24 +182,12 @@ def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
     return g, g_hat, bits, x, w
 
 
-def _apply_front_end(cfg: SimConfig, frame: int, y, g_hat):
-    """Fault injection, fault policy, and ADC quantization for one frame."""
-    if cfg.victim_fraction > 0.0 and cfg.victim_policy != "none":
-        model = CircuitErrorModel(victim_fraction=cfg.victim_fraction,
-                                  mode=cfg.victim_mode, detected=True)
-        y, victims = inject_errors(y, model, stream_rng(cfg.seed, frame, 4))
-        if cfg.victim_policy == "exclude":
-            y = np.delete(y, victims, axis=0)
-            g_hat = np.delete(g_hat, victims, axis=0)
-    if cfg.adc_bits is not None:
-        y = quantize_adc(y, cfg.adc_bits)
-    return y, g_hat
-
-
 def _simulate_frames(cfg: SimConfig, frames: Sequence[int]) -> list:
     """Bit errors per SNR point over a frame range, frame-major."""
     const = Constellation.from_name(cfg.constellation)
     overlay = cfg.overlay()
+    faults = (CircuitErrorModel(cfg.victim_fraction, cfg.victim_mode)
+              if cfg.victim_policy == "ignore" else None)
     n_info = cfg.info_bits_per_stream()
     errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
     queue = []      # (point, llr rows, info bits), k rows each
@@ -206,13 +195,21 @@ def _simulate_frames(cfg: SimConfig, frames: Sequence[int]) -> list:
     for frame in frames:
         g, g_hat, bits, x, w = _frame_data(cfg, frame, const)
         gx = g @ x
+        if cfg.victim_policy == "exclude":
+            victims = draw_victims(cfg.m, cfg.victim_fraction,
+                                   stream_rng(cfg.seed, frame, 4))
+            g_hat, gx, w = (np.delete(a, victims, axis=0)
+                            for a in (g_hat, gx, w))
         for point, snr_db in enumerate(cfg.snr_db):
             noise_var = 10.0 ** (-snr_db / 10.0)
             y = gx + np.sqrt(noise_var) * w
             if point == last:
                 del gx      # read by no later point: free it for the detector
-            y, g_eff = _apply_front_end(cfg, frame, y, g_hat)
-            det = build_uplink_detector(g_eff, cfg.detector, noise_var,
+            if faults is not None:  # stuck level follows the point's RMS
+                y, _ = inject_errors(y, faults, stream_rng(cfg.seed, frame, 4))
+            if cfg.adc_bits is not None:
+                y = quantize_adc(y, cfg.adc_bits)
+            det = build_uplink_detector(g_hat, cfg.detector, noise_var,
                                         overlay=overlay,
                                         nsa_order=cfg.nsa_order,
                                         cd_sweeps=cfg.cd_sweeps,

@@ -199,6 +199,16 @@ class TestRunAnalytic:
                            if not line.startswith("# ")])
         assert bodies[0] == bodies[1]
 
+    def test_algorithm_names_are_case_insensitive(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, dict(_TINY_TABLE,
+                                           algorithms=["NSA", "chd"]))
+        assert main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        out = str(tmp_path / "table.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        _, _, rows = _read_csv(out)
+        assert [row[0] for row in rows] == ["nsa", "chd"]
+
     def test_hardening_run(self, tmp_path):
         cfg = _write_config(tmp_path, {
             "experiment": "hardening",
@@ -258,6 +268,8 @@ class TestValidationFailures:
         (dict(_TINY_TABLE, k_list=[0, 4]), "k_list: entries must be at least"),
         (dict(_TINY_TABLE, nsa_order=0), "nsa_order:"),
         (dict(_TINY_TABLE, nsa_order=0, algorithms=["cd"]), "nsa_order:"),
+        (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
+         "algorithms: ('NSA', 'lu') not one of"),
         (dict(_TINY_TABLE, coherence_uses=0),
          "coherence_uses: must be at least 1"),
         (dict(_TINY_CALIBRATION, m=0, k=1), "m: must be at least 1"),

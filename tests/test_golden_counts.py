@@ -1,11 +1,12 @@
 """Pinned bit-error counts for every uplink detector.
 
 A small coded 16-QAM sweep runs each detector in double precision and
-under the 4/4 and 8/8 fraction-bit overlays.  The counts were recorded
-before the detectors were folded into one implementation; any change to
-them is a change in behaviour, not a refactor.  The grid is chosen so
-every detector makes errors at one point or more, so a detector that
-silently stops detecting cannot pass by staying at zero.
+under the 4/4 and 8/8 fraction-bit overlays, and zf and chd behind the
+fault front end.  The counts were recorded before the detectors were
+folded into one implementation; any change to them is a change in
+behaviour, not a refactor.  The grid is chosen so every detector makes
+errors at one point or more, so a detector that silently stops
+detecting cannot pass by staying at zero.
 """
 import pytest
 
@@ -37,7 +38,37 @@ def test_error_counts_pinned(detector, bits):
     assert tuple(p.n_errors for p in res.points) == GOLDEN[detector][bits]
 
 
+# Fault front end at a quarter of the antennas (8 of 32), recorded before
+# the victim set became frame data: case -> (policy, mode, adc_bits).
+_FRONT_END_CASES = {
+    "exclude": ("exclude", "stuck_at_max", None),
+    "ignore": ("ignore", "stuck_at_max", None),
+    "ignore_value": ("ignore", "stuck_at_value", None),
+    "exclude_adc4": ("exclude", "stuck_at_max", 4),
+}
+FRONT_END_GOLDEN = {
+    "zf": {"exclude": (1042, 491, 30), "ignore": (1425, 1322, 1187),
+           "ignore_value": (1142, 713, 300),
+           "exclude_adc4": (1113, 451, 59)},
+    "chd": {"exclude": (1236, 553, 23), "ignore": (1393, 1349, 1290),
+            "ignore_value": (1320, 997, 589),
+            "exclude_adc4": (1259, 660, 30)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRONT_END_CASES))
+@pytest.mark.parametrize("detector", sorted(FRONT_END_GOLDEN))
+def test_front_end_counts_pinned(detector, case):
+    policy, mode, adc_bits = _FRONT_END_CASES[case]
+    cfg = SimConfig(detector=detector, victim_fraction=0.25,
+                    victim_policy=policy, victim_mode=mode,
+                    adc_bits=adc_bits, **_BASE)
+    res = run_uplink_ber(cfg)
+    assert (tuple(p.n_errors for p in res.points)
+            == FRONT_END_GOLDEN[detector][case])
+
+
 def test_every_detector_makes_errors():
-    for detector, by_bits in GOLDEN.items():
-        for counts in by_bits.values():
+    for detector, by_case in (*GOLDEN.items(), *FRONT_END_GOLDEN.items()):
+        for counts in by_case.values():
             assert any(counts), detector

@@ -10,6 +10,7 @@ from mimodsp import (PaModel, SimConfig, run_calibration_study,
                      run_downlink_evm, run_outage_study, run_uplink_ber,
                      snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
+from mimodsp.impairments import draw_victims, inject_errors
 from mimodsp.link import sim, viterbi_decode
 from mimodsp.link.sim import BerPoint, BerResult
 
@@ -190,6 +191,34 @@ class TestUplinkBerMechanics:
         assert len(batches) > 1
         assert max(batches) <= sim._DECODE_ROWS + cfg.k - 1
         assert sum(batches) == cfg.frames * len(cfg.snr_db) * cfg.k
+
+    def test_faults_are_drawn_once_per_frame(self, monkeypatch):
+        # exclude drops the victim rows once per frame; ignore injects at
+        # every point, as its stuck level follows the point's RMS
+        draws, injections = [], []
+
+        def counting_draw(*args):
+            draws.append(args)
+            return draw_victims(*args)
+
+        def no_inject(*args):
+            raise AssertionError("faults injected under exclude")
+
+        def counting_inject(*args):
+            injections.append(args)
+            return inject_errors(*args)
+
+        monkeypatch.setattr(sim, "draw_victims", counting_draw)
+        monkeypatch.setattr(sim, "inject_errors", no_inject)
+        cfg = SimConfig(m=8, k=2, snr_db=(-4.0, 0.0, 4.0), coded=False,
+                        coherence_uses=16, frames=4, victim_fraction=0.25,
+                        victim_policy="exclude", seed=5)
+        run_uplink_ber(cfg)
+        assert len(draws) == 4
+        monkeypatch.setattr(sim, "inject_errors", counting_inject)
+        run_uplink_ber(replace(cfg, victim_policy="ignore"))
+        assert len(draws) == 4
+        assert len(injections) == 4 * 3
 
     def test_coding_gain(self):
         base = dict(m=16, k=4, snr_db=(-7.0,), coherence_uses=512,
