@@ -268,8 +268,6 @@ class TestValidationFailures:
         (dict(_TINY_TABLE, k_list=[0, 4]), "k_list: entries must be at least"),
         (dict(_TINY_TABLE, nsa_order=0), "nsa_order:"),
         (dict(_TINY_TABLE, nsa_order=0, algorithms=["cd"]), "nsa_order:"),
-        (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
-         "algorithms: ('NSA', 'lu') not one of"),
         (dict(_TINY_TABLE, coherence_uses=0),
          "coherence_uses: must be at least 1"),
         (dict(_TINY_CALIBRATION, m=0, k=1), "m: must be at least 1"),
@@ -304,6 +302,8 @@ class TestValidationFailures:
         (dict(_TINY_OUTAGE, fractions=[0.1, 1.5]),
          "fractions: 1.5: victim_fraction: outside [0, 1)"),
         (dict(_TINY_OUTAGE, target_ber=2.0), "target_ber: 2.0 outside"),
+        (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
+         "algorithms: ('NSA', 'lu') not one of"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):
