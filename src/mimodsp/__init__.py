@@ -22,9 +22,9 @@ from .equalization import (NsaDivergenceWarning, UplinkDetector,
                            precode, wnsa_inverse)
 from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           build_nonreciprocal, calibrate, draw_front_end_set,
-                          draw_victims, evm_db, exclude_antennas,
-                          inject_errors, mui_db, pa_apply,
-                          per_antenna_sddr_db, quantize_adc, sddr_db)
+                          draw_victims, evm_db, inject_errors, mui_db,
+                          pa_apply, per_antenna_sddr_db, quantize_adc,
+                          sddr_db)
 from .link import (BerResult, Constellation, SimConfig, conv_encode, demap_hard,
                    demap_soft, map_bits, run_calibration_study,
                    run_downlink_evm, run_outage_study, run_uplink_ber,

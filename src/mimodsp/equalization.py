@@ -273,7 +273,8 @@ class UplinkDetector:
     This class, built through :func:`build_uplink_detector`, is the one
     way to run every method in :data:`DETECTORS`; ``method`` is
     case-insensitive.  An ``overlay`` of None is replaced by the identity
-    overlay, which rounds nothing.
+    overlay, which rounds nothing.  "mr", "zf" and "mmse" ignore the
+    overlay: their combiner is built and applied in double precision.
 
     "chd" and "mqrd" solve the normal equations ``(G^H G + N0 I) x = G^H y``
     (ZF at ``noise_var = 0``), scaled by 1/M so that the factor's entries

@@ -8,12 +8,11 @@ quality metrics (EVM, SDDR, multi-user interference power).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .channel import RngLike, as_rng
-from .numerics import FixedPointFormat
 
 __all__ = [
     "PaModel",
@@ -30,7 +29,6 @@ __all__ = [
     "inject_errors",
     "sddr_db",
     "per_antenna_sddr_db",
-    "exclude_antennas",
     "mui_db",
     "EVM_FLOOR_DB",
     "SDDR_CEILING_DB",
@@ -274,7 +272,7 @@ def mui_db(effective: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-FAULT_MODES = ("stuck_at_max", "stuck_at_value", "transient")
+FAULT_MODES = ("stuck_at_max", "stuck_at_value")
 
 
 @dataclass(frozen=True)
@@ -282,28 +280,22 @@ class CircuitErrorModel:
     """Population of faulty per-antenna processing elements.
 
     ``victim_fraction`` of the antennas are drawn as victims once per
-    realization.  ``stuck_at_max`` pins their output to the largest
-    representable magnitude at 45 degrees; ``stuck_at_value`` to a given
-    constant; ``transient`` flips bits of the fixed-point representation
-    with probability ``p_error`` per bit.  ``detected`` marks whether the
-    receiver is assumed to know the victim set (and may exclude it).
+    realization.  ``stuck_at_max`` pins their output to three times the
+    signal RMS at 45 degrees; ``stuck_at_value`` pins it to zero.
+    ``detected`` is read by nothing here (whether victims are excluded is
+    ``SimConfig.victim_policy``); it stays only for the benchmark's traced
+    loop, which sets it.
     """
 
     victim_fraction: float
     mode: str = "stuck_at_max"
-    value: complex = 0.0
-    p_error: float = 0.0
     detected: bool = False
-    full_scale: Optional[float] = None
-    word: FixedPointFormat = FixedPointFormat(total_bits=12, fraction_bits=8)
 
     def __post_init__(self):
         if not 0.0 <= self.victim_fraction <= 1.0:
             raise ValueError("victim_fraction must lie in [0, 1]")
         if self.mode not in FAULT_MODES:
             raise ValueError(f"unknown error mode {self.mode!r}")
-        if self.mode == "transient" and not 0.0 <= self.p_error <= 1.0:
-            raise ValueError("p_error must lie in [0, 1]")
 
 
 def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
@@ -314,19 +306,6 @@ def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
         return np.empty(0, dtype=int)
     r = as_rng(rng)
     return np.sort(r.choice(m, size=count, replace=False))
-
-
-def _flip_bits(values: np.ndarray, fmt: FixedPointFormat, p: float,
-               rng: np.random.Generator) -> np.ndarray:
-    scale = 2.0 ** fmt.fraction_bits
-    span = 2 ** fmt.total_bits
-    ints = np.mod(np.round(values * scale).astype(np.int64), span)
-    masks = np.zeros(values.shape, dtype=np.int64)
-    for bit in range(fmt.total_bits):
-        masks |= (rng.random(values.shape) < p).astype(np.int64) << bit
-    flipped = np.bitwise_xor(ints, masks)
-    signed = np.where(flipped >= span // 2, flipped - span, flipped)
-    return signed / scale
 
 
 def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
@@ -340,20 +319,13 @@ def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
     squeeze = sig.ndim == 1
     x = sig[:, None].copy() if squeeze else sig.copy()
     m = x.shape[0]
-    r = as_rng(seed)
-    victims = draw_victims(m, err.victim_fraction, r)
+    victims = draw_victims(m, err.victim_fraction, seed)
     if victims.size:
         if err.mode == "stuck_at_max":
-            fs = err.full_scale
-            if fs is None:
-                fs = 3.0 * float(np.sqrt(np.mean(np.abs(sig) ** 2))) or 1.0
+            fs = 3.0 * float(np.sqrt(np.mean(np.abs(sig) ** 2))) or 1.0
             x[victims, :] = fs * (1.0 + 1j) / np.sqrt(2.0)
-        elif err.mode == "stuck_at_value":
-            x[victims, :] = err.value
-        else:
-            sub = x[victims, :]
-            x[victims, :] = (_flip_bits(sub.real, err.word, err.p_error, r)
-                             + 1j * _flip_bits(sub.imag, err.word, err.p_error, r))
+        else:  # stuck_at_value
+            x[victims, :] = 0.0
     return (x[:, 0] if squeeze else x), victims
 
 
@@ -384,25 +356,3 @@ def per_antenna_sddr_db(clean: np.ndarray,
     for i in range(c.shape[0]):
         out[i] = sddr_db(c[i], d[i])
     return np.maximum(out, SDDR_FLOOR_DB)
-
-
-def exclude_antennas(operator: np.ndarray,
-                     victims: Sequence[int]) -> np.ndarray:
-    """Remove victim rows from an (M, K) operator.
-
-    Detection or precoding built from the reduced matrix behaves exactly
-    like a fresh array with ``M' = M - len(victims)`` antennas; precoder
-    power renormalization happens automatically when the precoder is
-    rebuilt from the reduced rows.  Excluding below the column count (the
-    spatial-multiplexing minimum) is rejected.
-    """
-    op = np.asarray(operator)
-    victims = np.asarray(victims, dtype=int)
-    if victims.size == 0:
-        return op.copy()
-    if victims.min() < 0 or victims.max() >= op.shape[0]:
-        raise ValueError("victim index out of range")
-    remaining = op.shape[0] - np.unique(victims).size
-    if remaining < op.shape[1]:
-        raise ValueError(f"exclusion leaves {remaining} rows for {op.shape[1]} users")
-    return np.delete(op, victims, axis=0)

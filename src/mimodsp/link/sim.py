@@ -120,9 +120,6 @@ class SimConfig:
             errs.append("victim_fraction: outside [0, 1)")
         if self.victim_mode not in FAULT_MODES:
             errs.append(f"victim_mode: unknown {self.victim_mode!r}")
-        elif self.victim_mode == "transient":
-            errs.append("victim_mode: transient flips no bits, as no field "
-                        "sets its bit-error probability")
         if self.victim_policy not in ("none", *FAULT_POLICIES):
             errs.append(f"victim_policy: unknown {self.victim_policy!r}")
         if self.victim_fraction > 0.0 and self.victim_policy == "none":

@@ -293,7 +293,8 @@ class TestValidationFailures:
         (dict(_TINY_BER, frames=2.5), "frames: expected int, got 2.5"),
         (dict(_TINY_OUTAGE, victim_mode="bogus"),
          "victim_mode: unknown 'bogus'"),
-        (dict(_TINY_BER, victim_mode="transient"), "victim_mode: transient"),
+        (dict(_TINY_BER, victim_mode="transient"),
+         "victim_mode: unknown 'transient'"),
         (dict(_TINY_EVM, precoder="rzf"), "precoder: 'rzf' not one of"),
         (dict(_TINY_CALIBRATION, precoder="rzf"),
          "precoder: 'rzf' not one of"),

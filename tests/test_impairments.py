@@ -7,10 +7,8 @@ from mimodsp.impairments import (EVM_FLOOR_DB, MUI_FLOOR_DB, SDDR_CEILING_DB,
                                  CircuitErrorModel, FrontEndSet, PaModel,
                                  build_nonreciprocal, calibrate,
                                  draw_front_end_set, draw_victims, evm_db,
-                                 exclude_antennas, inject_errors, mui_db,
-                                 pa_apply, per_antenna_sddr_db, quantize_adc,
-                                 sddr_db)
-from mimodsp.numerics import FixedPointFormat
+                                 inject_errors, mui_db, pa_apply,
+                                 per_antenna_sddr_db, quantize_adc, sddr_db)
 
 
 class TestPaModel:
@@ -197,11 +195,11 @@ class TestCircuitErrors:
 
     def test_stuck_at_max_value(self, rng):
         y = rng.standard_normal((20, 8)) + 1j * rng.standard_normal((20, 8))
-        err = CircuitErrorModel(victim_fraction=0.25, mode="stuck_at_max",
-                                full_scale=2.0)
+        err = CircuitErrorModel(victim_fraction=0.25, mode="stuck_at_max")
         out, victims = inject_errors(y, err, rng)
         assert victims.size == 5
-        assert np.allclose(out[victims], 2.0 * (1 + 1j) / np.sqrt(2))
+        rms = np.sqrt(np.mean(np.abs(y) ** 2))
+        assert np.allclose(out[victims], 3.0 * rms * (1 + 1j) / np.sqrt(2))
         mask = np.ones(20, bool)
         mask[victims] = False
         assert np.array_equal(out[mask], y[mask])
@@ -215,34 +213,18 @@ class TestCircuitErrors:
 
     def test_stuck_at_value(self, rng):
         y = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
-        err = CircuitErrorModel(victim_fraction=0.2, mode="stuck_at_value",
-                                value=1.0 - 1.0j)
+        err = CircuitErrorModel(victim_fraction=0.2, mode="stuck_at_value")
         out, victims = inject_errors(y, err, rng)
-        assert np.allclose(out[victims], 1.0 - 1.0j)
-
-    def test_transient_zero_probability_is_identity(self, rng):
-        y = rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5))
-        err = CircuitErrorModel(victim_fraction=0.5, mode="transient",
-                                p_error=0.0)
-        out, _ = inject_errors(y, err, rng)
-        assert np.allclose(out, y, atol=2 ** -8)   # word rounding only
-
-    def test_transient_flips_change_victims(self, rng):
-        y = 0.25 * (rng.standard_normal((10, 5)) + 1j * rng.standard_normal((10, 5)))
-        err = CircuitErrorModel(victim_fraction=0.5, mode="transient",
-                                p_error=1.0,
-                                word=FixedPointFormat(12, 8))
-        out, victims = inject_errors(y, err, rng)
-        assert not np.allclose(out[victims], y[victims], atol=0.1)
+        assert victims.size == 2
+        assert np.array_equal(out[victims], np.zeros((2, 3), complex))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
             CircuitErrorModel(victim_fraction=1.5)
         with pytest.raises(ValueError):
             CircuitErrorModel(victim_fraction=0.1, mode="meteor")
-        with pytest.raises(ValueError):
-            CircuitErrorModel(victim_fraction=0.1, mode="transient",
-                              p_error=2.0)
+        with pytest.raises(ValueError, match="unknown error mode"):
+            CircuitErrorModel(victim_fraction=0.1, mode="transient")
 
 
 class TestSddr:
@@ -263,27 +245,3 @@ class TestSddr:
         healthy = np.setdiff1d(np.arange(8), victims)
         assert np.all(per[victims] < 20.0)
         assert np.all(per[healthy] == SDDR_CEILING_DB)
-
-
-class TestExcludeAntennas:
-    def test_removes_rows(self, rng):
-        g = draw_iid_rayleigh(10, 2, rng)
-        out = exclude_antennas(g, [1, 4])
-        assert out.shape == (8, 2)
-        assert np.array_equal(out[0], g[0])
-        assert np.array_equal(out[1], g[2])
-
-    def test_empty_victims_copy(self, rng):
-        g = draw_iid_rayleigh(6, 2, rng)
-        out = exclude_antennas(g, [])
-        assert np.array_equal(out, g) and out is not g
-
-    def test_floor_guard(self, rng):
-        g = draw_iid_rayleigh(4, 3, rng)
-        with pytest.raises(ValueError):
-            exclude_antennas(g, [0, 1])
-
-    def test_out_of_range(self, rng):
-        g = draw_iid_rayleigh(4, 2, rng)
-        with pytest.raises(ValueError):
-            exclude_antennas(g, [7])

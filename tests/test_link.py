@@ -65,8 +65,8 @@ class TestSimConfigValidation:
                                         victim_fraction=0.2),
             "victim_mode: unknown": SimConfig(m=8, k=2, snr_db=(0.0,),
                                               victim_mode="bogus"),
-            "victim_mode: transient": SimConfig(m=8, k=2, snr_db=(0.0,),
-                                                victim_mode="transient"),
+            "victim_mode: unknown 'transient'": SimConfig(
+                m=8, k=2, snr_db=(0.0,), victim_mode="transient"),
         }
         for tag, cfg in cases.items():
             with pytest.raises(ValueError, match=tag):
