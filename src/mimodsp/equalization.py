@@ -24,6 +24,7 @@ import numpy as np
 
 from .numerics import (
     FxpOverlay,
+    _quantize_real,
     back_substitute,
     cholesky,
     forward_substitute,
@@ -378,7 +379,9 @@ class UplinkDetector:
         per-realization hardware cost at zero.  Under an overlay the
         channel columns and inverse column energies are rounded once per
         realization, and the residual (held at an automatic-gain scale),
-        the coordinate corrections and the estimates every update.
+        the coordinate corrections and the estimates every update.  The
+        residual is updated in place in one buffer; its ``/ agc`` is the
+        multiply by ``1 / agc`` that numpy's complex division does.
 
         Yields the estimate after every coordinate update; it is the same
         array each time, updated in place.
@@ -387,14 +390,22 @@ class UplinkDetector:
         gq = self._state["gq"]
         inv_energy = self._state["inv_energy"]
         agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0
-        rbar = ov.q_signal(yc / agc)
+        rbar = np.divide(yc, agc, order="C")
+        buf = np.empty_like(rbar)
+        rv, bv = rbar.view(np.float64), buf.view(np.float64)
+        if ov.signal is not None:
+            _quantize_real(rv, ov.signal)
         xhat = np.zeros((gq.shape[1], yc.shape[1]), dtype=complex)
         for _ in range(self.cd_sweeps):
             for i in range(gq.shape[1]):
                 corr = np.conj(gq[:, i]) @ rbar * agc - self.noise_var * xhat[i, :]
                 delta = ov.q_signal(corr * inv_energy[i])
                 xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
-                rbar = ov.q_signal(rbar - np.outer(gq[:, i], delta) / agc)
+                np.multiply(gq[:, i, None], delta[None, :], out=buf)
+                bv *= 1.0 / agc
+                np.subtract(rbar, buf, out=rbar)
+                if ov.signal is not None:
+                    _quantize_real(rv, ov.signal)
                 yield xhat
 
 

@@ -95,26 +95,30 @@ class FixedPointFormat:
         return cls(4 + fraction_bits, fraction_bits)
 
 
-def _quantize_real(x: np.ndarray, fmt: FixedPointFormat) -> np.ndarray:
-    ints = np.round(np.asarray(x, dtype=float) * 2.0 ** fmt.fraction_bits)
+def _quantize_real(v: np.ndarray, fmt: FixedPointFormat) -> None:
+    """Round the float64 array ``v`` onto the grid of ``fmt``, in place."""
+    v *= 2.0 ** fmt.fraction_bits
+    np.rint(v, out=v)
     lim = 2 ** (fmt.total_bits - 1)
     if fmt.saturating:
-        ints = np.clip(ints, -(lim - 1), lim - 1)
+        np.clip(v, -(lim - 1), lim - 1, out=v)
     else:
-        ints = np.mod(ints + lim, 2 * lim) - lim
-    return ints * fmt.step
+        np.mod(np.add(v, lim, out=v), 2 * lim, out=v)
+        v -= lim
+    v *= fmt.step
 
 
 def fxp_quantize(x, fmt: FixedPointFormat):
     """Round ``x`` onto the fixed-point grid of ``fmt``.
 
     Complex inputs are quantized per axis.  Idempotent: applying the same
-    format twice returns the first result exactly.
+    format twice returns the first result exactly.  Each axis keeps the
+    -0.0 that rounding gives, which ``q(re) + 1j * q(im)`` may not.
     """
-    x = np.asarray(x)
-    if np.iscomplexobj(x):
-        return _quantize_real(x.real, fmt) + 1j * _quantize_real(x.imag, fmt)
-    return _quantize_real(x, fmt)
+    out = np.array(x, dtype=complex if np.iscomplexobj(x) else float,
+                   order="C", copy=True)
+    _quantize_real(out.reshape(-1).view(np.float64), fmt)
+    return out[()]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from mimodsp.equalization import (NsaDivergenceWarning,
                                   build_uplink_detector, combiner_exact,
                                   fit_wnsa_weights, nsa_inverse,
                                   post_combining_sinr, precode, wnsa_inverse)
-from mimodsp.numerics import FxpOverlay, qrd
+from mimodsp.numerics import FixedPointFormat, FxpOverlay, qrd
 
 
 def _chan(rng, m=64, k=8):
@@ -173,7 +173,52 @@ def _objective(g, y, x, nv):
     return np.sum(np.abs(r) ** 2, axis=0) + nv * np.sum(np.abs(x) ** 2, axis=0)
 
 
+def _cd_out_of_place(det, y):
+    """cd as it was before the in-place residual update: each update rounds
+    a freshly computed ``rbar - outer(g_i, delta) / agc``."""
+    ov, gq = det.overlay, det._state["gq"]
+    inv_energy = det._state["inv_energy"]
+    agc = float(np.sqrt(np.mean(np.abs(y) ** 2))) or 1.0
+    rbar = ov.q_signal(y / agc)
+    xhat = np.zeros((gq.shape[1], y.shape[1]), dtype=complex)
+    for _ in range(det.cd_sweeps):
+        for i in range(gq.shape[1]):
+            corr = np.conj(gq[:, i]) @ rbar * agc - det.noise_var * xhat[i, :]
+            delta = ov.q_signal(corr * inv_energy[i])
+            xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
+            rbar = ov.q_signal(rbar - np.outer(gq[:, i], delta) / agc)
+    return xhat
+
+
+_CD_OVERLAYS = {
+    "float": None,
+    "8/8": FxpOverlay.from_fraction_bits(8, 8),
+    # range +-1.75: the residual itself saturates
+    "2-bit signal": FxpOverlay(FixedPointFormat(4, 2),
+                               FixedPointFormat.for_unit_range(8)),
+    "wrapping signal": FxpOverlay(FixedPointFormat(8, 4, saturating=False),
+                                  FixedPointFormat.for_unit_range(8)),
+}
+
+
 class TestCd:
+    @pytest.mark.parametrize("overlay", _CD_OVERLAYS.values(),
+                             ids=_CD_OVERLAYS.keys())
+    def test_in_place_update_matches_out_of_place(self, rng, overlay):
+        # symbols at 6x unit power push the estimates past +-8, so the
+        # 8-bit formats saturate or wrap as well
+        g, x, _ = _sim_problem(rng, m=32, k=8, n=64)
+        y = g @ (6.0 * x) + 0.3 * (rng.standard_normal((32, 64))
+                                   + 1j * rng.standard_normal((32, 64)))
+        det = build_uplink_detector(g, "cd", 0.1, overlay=overlay)
+        if overlay is not None:
+            agc = np.sqrt(np.mean(np.abs(y) ** 2))
+            est = build_uplink_detector(g, "cd", 0.1).detect(y)
+            reach = max(np.max(np.abs((y / agc).view(float))),
+                        np.max(np.abs(est.view(float))))
+            assert reach > overlay.signal.max_value
+        assert np.array_equal(det.detect(y), _cd_out_of_place(det, y))
+
     def test_converges_to_regularized_solution(self, rng):
         g, _, y = _sim_problem(rng)
         nv = 0.05

@@ -13,6 +13,7 @@ from mimodsp.channel import draw_iid_rayleigh, stream_rng
 from mimodsp.impairments import draw_victims, inject_errors
 from mimodsp.link import sim, viterbi_decode
 from mimodsp.link.sim import BerPoint, BerResult
+from mimodsp.numerics import ZeroDiagonalError
 
 
 def _no_draw(*args):
@@ -267,6 +268,17 @@ class TestUplinkBerMechanics:
         cfg = SimConfig(m=8, k=2, snr_db=(0.0,), frames=2)
         with pytest.raises(ValueError, match="workers"):
             run_uplink_ber(cfg, workers=0)
+
+    @pytest.mark.xfail(strict=True, raises=ZeroDiagonalError,
+                       reason="ROADMAP item 5: a factorization breakdown in "
+                              "one frame aborts the whole sweep")
+    def test_factorization_breakdown_does_not_abort_the_sweep(self):
+        cfg = SimConfig(m=128, k=16, snr_db=(-8.0,), detector="mqrd",
+                        coded=False, frames=4, seed=0, c_const=0.9,
+                        signal_fraction_bits=4, operator_fraction_bits=4,
+                        constellation="16qam")
+        cfg.validate()
+        assert run_uplink_ber(cfg).points[0].n_bits > 0
 
 
 def _synthetic_result(snrs, bers, n_bits=100_000):

@@ -83,6 +83,122 @@ class TestFxpQuantize:
         assert np.all(np.diff(q) >= 0)
 
 
+def _out_of_place_quantize(x, fmt):
+    """The quantizer as it was before the in-place kernel: each axis
+    rounded out of place, then recombined as ``re + 1j * im``."""
+    def axis(v):
+        ints = np.round(np.asarray(v, dtype=float) * 2.0 ** fmt.fraction_bits)
+        lim = 2 ** (fmt.total_bits - 1)
+        if fmt.saturating:
+            ints = np.clip(ints, -(lim - 1), lim - 1)
+        else:
+            ints = np.mod(ints + lim, 2 * lim) - lim
+        return ints * fmt.step
+
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return axis(x.real) + 1j * axis(x.imag)
+    return axis(x)
+
+
+def _awkward_values(rng, fmt, shape):
+    """Values past the format's range (so it saturates or wraps), exact
+    ties, zeros of both signs and small negatives that round to -0.0."""
+    v = rng.uniform(-3.0, 3.0, shape) * (fmt.max_value + fmt.step)
+    flat = v.reshape(-1)
+    flat[0::6] = (rng.integers(-300, 300, flat[0::6].size) + 0.5) * fmt.step
+    flat[1::6] = 0.0
+    flat[2::6] = -0.0
+    flat[3::6] = -rng.uniform(0.0, fmt.step / 4, flat[3::6].size)
+    return v
+
+
+def _complex_values(rng, fmt, shape):
+    # independent axes, so every pairing of zero signs occurs
+    return _awkward_values(rng, fmt, shape) + 1j * _awkward_values(
+        rng, fmt, shape)[..., ::-1]
+
+
+_QUANTIZER_INPUTS = {
+    "real": lambda r, f: _awkward_values(r, f, (6, 12)),
+    "complex": lambda r, f: _complex_values(r, f, (6, 12)),
+    "real 0-d": lambda r, f: np.array(-f.step / 8),
+    "complex 0-d": lambda r, f: np.array(complex(-0.0, 2.5 * f.step)),
+    "python float": lambda r, f: 1e9,
+    "python complex": lambda r, f: complex(-f.step / 8, 1.5 * f.step),
+    "python int": lambda r, f: -3,
+    "F-ordered": lambda r, f: _complex_values(r, f, (12, 6)).T,
+    "F-ordered real": lambda r, f: _awkward_values(r, f, (12, 6)).T,
+    "strided": lambda r, f: _complex_values(r, f, (6, 24))[:, ::2],
+    "complex64": lambda r, f: _complex_values(r, f, (6, 12)).astype(np.complex64),
+    "int": lambda r, f: r.integers(-300, 300, (4, 5)),
+}
+
+_QUANTIZER_FORMATS = {
+    "sat 8.4": FixedPointFormat(8, 4),
+    "sat unit 8": FixedPointFormat.for_unit_range(8),
+    "sat 3.1": FixedPointFormat(3, 1),
+    "wrap 8.4": FixedPointFormat(8, 4, saturating=False),
+    "wrap 5.2": FixedPointFormat(5, 2, saturating=False),
+}
+
+
+def _raw(x):
+    """The bits of ``x``, and of the array it views, for change checks."""
+    a = np.asarray(x)
+    return a.tobytes(), None if a.base is None else np.asarray(a.base).tobytes()
+
+
+class TestFxpQuantizeMatchesOutOfPlace:
+    """``fxp_quantize`` against the out-of-place formula it replaced.
+
+    Every value is equal.  Real inputs match bit for bit, zero signs
+    included.  A complex input may differ from the formula in one way
+    only, the sign of a zero: ``fxp_quantize`` keeps on each axis the
+    sign that rounding gives, exactly as for a real input, while
+    ``re + 1j * im`` turns a -0.0 imaginary part into +0.0 and keeps a
+    -0.0 real part only where the imaginary part is negative.
+    """
+
+    @pytest.mark.parametrize("fmt", _QUANTIZER_FORMATS.values(),
+                             ids=_QUANTIZER_FORMATS.keys())
+    @pytest.mark.parametrize("make", _QUANTIZER_INPUTS.values(),
+                             ids=_QUANTIZER_INPUTS.keys())
+    def test_values_equal(self, rng, make, fmt):
+        x = make(rng, fmt)
+        before = _raw(x)
+        q = fxp_quantize(x, fmt)
+        ref = _out_of_place_quantize(x, fmt)
+        assert _raw(x) == before                    # the caller's array
+        assert type(q) is type(ref)                 # an array, or a scalar
+        assert np.shape(q) == np.shape(ref)
+        assert np.asarray(q).dtype == np.asarray(ref).dtype
+        assert np.array_equal(q, ref)               # -0.0 == +0.0 here
+        assert not np.shares_memory(q, x)
+        q = np.asarray(q)
+        if np.iscomplexobj(q):
+            for part in (np.real, np.imag):
+                axis = _out_of_place_quantize(part(np.asarray(x)), fmt)
+                assert np.array_equal(part(q).view(np.uint64),
+                                      np.asarray(axis).view(np.uint64))
+        else:
+            assert np.array_equal(q.view(np.uint64),
+                                  np.asarray(ref).view(np.uint64))
+
+    def test_zero_signs_follow_rounding(self):
+        fmt = FixedPointFormat(8, 4)
+        tiny = fmt.step / 8
+        q = fxp_quantize(np.array([complex(-tiny, -tiny), complex(-tiny, tiny),
+                                   complex(tiny, -tiny)]), fmt)
+        assert np.array_equal(np.signbit(q.real), [True, True, False])
+        assert np.array_equal(np.signbit(q.imag), [True, False, True])
+        ref = _out_of_place_quantize(np.array([complex(-tiny, -tiny),
+                                               complex(-tiny, tiny)]), fmt)
+        # the out-of-place form: -0.0 real kept only beside a negative imag
+        assert np.array_equal(np.signbit(ref.real), [True, False])
+        assert not np.any(np.signbit(ref.imag))
+
+
 class TestOverlay:
     def test_from_fraction_bits(self):
         ov = FxpOverlay.from_fraction_bits(8, 10)
