@@ -18,13 +18,17 @@ A worker task is one frame chunk over the whole grid.  Each frame's data
 once and run at every SNR point; coded rows of all points wait in one
 queue, tagged with their point, and are decoded together once
 ``_DECODE_ROWS`` wait, so memory grows with neither frames nor grid.
+The whole run, pool included, uses one BLAS thread: the workers fill the
+cores, and float sums then do not depend on the host or the split.
 """
 from __future__ import annotations
 
 import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -234,30 +238,41 @@ def _decode_queue(queue: list, n_info: int, errors: np.ndarray) -> None:
     queue.clear()
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one BLAS thread in each worker process.
-
-    The workers already fill the cores.  A BLAS thread pool in each of
-    them oversubscribes the cores, and its spinning threads make the same
-    call take from one to three times its single-thread time.  numpy has
-    no call for this, so the loaded OpenBLAS is told directly (Linux
-    only; elsewhere this does nothing).  OpenBLAS's vector-matrix product
-    sums in an order that depends on its thread count, so float cd and
-    chd estimates can differ in the last bit from the serial path's, as
-    they already differ between hosts with different core counts.
-    """
+@lru_cache(maxsize=None)
+def _openblas_thread_calls() -> tuple:
+    """(get, set) thread-count calls of each loaded OpenBLAS, found once."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps if "openblas" in line}
     except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads64_"):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter(1)
+        return ()
+    names = ("openblas_%s_num_threads", "openblas_%s_num_threads64_",
+             "scipy_openblas_%s_num_threads64_")
+    return tuple((getattr(lib, n % "get"), getattr(lib, n % "set"))
+                 for lib in map(ctypes.CDLL, paths) for n in names
+                 if hasattr(lib, n % "get"))
+
+
+@contextmanager
+def _one_blas_thread():
+    """One BLAS thread inside the block, the caller's count after it.
+
+    All of ``run_uplink_ber`` runs in it: pool workers fork with one
+    thread, and the serial path has no second thread spinning.  OpenBLAS's
+    vector-matrix product (cd's correlation, chd's substitutions) sums in
+    an order set by its thread count, so float results then depend on
+    neither the host nor ``workers``.  numpy has no call for this, so the
+    loaded OpenBLAS is told directly; without one this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    saved = [get() for get, _ in calls]
+    try:
+        for _, put in calls:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(calls, saved):
+            put(count)
 
 
 def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
@@ -270,12 +285,12 @@ def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
               if hi > lo]
     # one task per frame chunk, each over the whole grid
     args = (repeat(cfg), chunks)
-    if len(chunks) == 1:
-        chunk_errors = list(map(_simulate_frames, *args))
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 initializer=_one_blas_thread) as pool:
-            chunk_errors = list(pool.map(_simulate_frames, *args))
+    with _one_blas_thread():
+        if len(chunks) == 1:
+            chunk_errors = list(map(_simulate_frames, *args))
+        else:
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                chunk_errors = list(pool.map(_simulate_frames, *args))
     total = cfg.frames * cfg.k * cfg.info_bits_per_stream()
     points = []
     for snr, errors in zip(cfg.snr_db, map(sum, zip(*chunk_errors))):

@@ -9,6 +9,7 @@ carries an xfail marker so the findings stay visible without breaking
 the suite.
 """
 import math
+import os
 import time
 
 import numpy as np
@@ -163,12 +164,13 @@ def coded_loss_study():
              ("k8", 8, _GRID_K8, 246, ("zf", "nsa")),
              ("k32", 32, _GRID_K32, 62, ("zf", "nsa"))]
     min_bits = math.inf
+    workers = min(4, os.cpu_count() or 1)
     for label, k, grid, frames, detectors in plans:
         runs[label] = {}
         for det in detectors:
             cfg = SimConfig(m=128, k=k, snr_db=grid, detector=det,
                             frames=frames, **_STUDY_BASE)
-            res = run_uplink_ber(cfg)
+            res = run_uplink_ber(cfg, workers=workers)
             runs[label][det] = res
             min_bits = min(min_bits, min(p.n_bits for p in res.points))
     runs["elapsed_s"] = time.time() - t0

@@ -1,6 +1,12 @@
 """Link-level Monte-Carlo plumbing: configs, BER curves, EVM, outage."""
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +49,59 @@ def _zf_qpsk_ber_conditional(g, snr_db):
     arg = np.sqrt(1.0 / (n0 * np.real(np.diag(inv))))
     return float(np.mean(0.5 * np.array([math.erfc(v / math.sqrt(2.0))
                                          for v in arg])))
+
+
+# float cd and chd at this geometry sum in a thread-dependent order inside
+# OpenBLAS's vector-matrix product; coded QPSK, so demap_soft sees xhat
+_BLAS_GEOMETRY = SimConfig(m=100, k=10, snr_db=(-18.0, -16.0),
+                           coherence_uses=500, frames=4, seed=0)
+
+
+def _digest_detector_outputs(patch):
+    """Patch the simulator to write a digest of each (frame, SNR point)'s
+    detector output to a file in ``state["dir"]``; forked pool workers
+    inherit the patch.  ``patch`` is ``monkeypatch.setattr`` or ``setattr``."""
+    frame_data, demap_soft = sim._frame_data, sim.demap_soft
+    state = {}
+
+    def tagging_frame_data(cfg, frame, const):
+        state["frame"] = frame
+        return frame_data(cfg, frame, const)
+
+    def digesting_demap_soft(xhat, const, noise_var):
+        digest = hashlib.sha256(np.ascontiguousarray(xhat).tobytes())
+        name = f"{state['frame']}-{noise_var!r}"
+        (state["dir"] / name).write_text(digest.hexdigest())
+        return demap_soft(xhat, const, noise_var)
+
+    patch(sim, "_frame_data", tagging_frame_data)
+    patch(sim, "demap_soft", digesting_demap_soft)
+    return state
+
+
+def _digested_run(state, cfg, workers, out_dir):
+    """Points and {"frame-noise_var": digest} of one run_uplink_ber call."""
+    out_dir.mkdir()
+    state["dir"] = out_dir
+    points = run_uplink_ber(cfg, workers=workers).points
+    return points, {f.name: f.read_text() for f in out_dir.iterdir()}
+
+
+# run in a fresh interpreter: the BLAS thread count is read at start-up
+_THREADS_CHILD = """
+import json, sys
+from dataclasses import replace
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import test_link as t
+state, out, runs = t._digest_detector_outputs(setattr), Path(sys.argv[2]), {}
+for det in ("cd", "chd"):
+    for workers in (1, 2, 3):
+        cfg = replace(t._BLAS_GEOMETRY, detector=det)
+        runs[f"{det}{workers}"] = t._digested_run(state, cfg, workers,
+                                                  out / f"{det}{workers}")
+print(json.dumps(runs))
+"""
 
 
 class TestSimConfigValidation:
@@ -158,6 +217,79 @@ class TestUplinkBerMechanics:
             assert any(p.n_errors for p in serial)
             for workers in (2, 3):
                 assert run_uplink_ber(cfg, workers=workers).points == serial
+
+    @pytest.mark.parametrize("detector", ["cd", "chd"])
+    def test_float_detector_output_does_not_depend_on_workers(
+            self, detector, monkeypatch, tmp_path):
+        # float cd and chd once differed in the last bit between workers=1
+        # and workers>1 on a multi-core host, as the serial path ran the
+        # default BLAS thread count and the pool one thread (the BLAS
+        # thread-count FOUND in CHANGES.md); every frame is compared here
+        state = _digest_detector_outputs(monkeypatch.setattr)
+        cfg = replace(_BLAS_GEOMETRY, detector=detector)
+        serial = _digested_run(state, cfg, 1, tmp_path / "serial")
+        assert any(p.n_errors for p in serial[0])
+        assert len(serial[1]) == cfg.frames * len(cfg.snr_db)
+        assert _digested_run(state, cfg, 2, tmp_path / "pool") == serial
+
+    def test_results_do_not_depend_on_blas_threads_or_workers(self, tmp_path):
+        # BerPoints and every detector output at workers 1, 2 and 3, with
+        # OPENBLAS_NUM_THREADS unset, 1 and 2, each in a fresh interpreter
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {key: val for key, val in os.environ.items()
+               if key != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        runs = {}
+        for threads in (None, "1", "2"):
+            child_env = dict(env, **({} if threads is None
+                                     else {"OPENBLAS_NUM_THREADS": threads}))
+            out = tmp_path / str(threads)
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREADS_CHILD, tests, str(out)],
+                capture_output=True, text=True, env=child_env, check=True)
+            runs[threads] = json.loads(proc.stdout)
+        for det in ("cd", "chd"):
+            first = runs[None][f"{det}1"]
+            assert any(n_errors for _, _, n_errors, _, _ in first[0])
+            for threads in runs:
+                for workers in (1, 2, 3):
+                    assert runs[threads][f"{det}{workers}"] == first
+
+    def test_caller_blas_thread_count_is_restored(self, monkeypatch):
+        # one thread inside run_uplink_ber, the caller's count after it
+        # returns and after it raises
+        calls = sim._openblas_thread_calls()
+        assert calls, "numpy's OpenBLAS thread calls not found"
+        saved = [get() for get, _ in calls]
+        inside = []
+        simulate_frames = sim._simulate_frames
+
+        def counting_simulate(cfg, frames):
+            inside.append([get() for get, _ in calls])
+            return simulate_frames(cfg, frames)
+
+        def failing_simulate(cfg, frames):
+            inside.append([get() for get, _ in calls])
+            raise RuntimeError("frame failed")
+
+        cfg = SimConfig(m=8, k=2, snr_db=(0.0,), coherence_uses=64, frames=2)
+        try:
+            for _, put in calls:
+                put(3)
+            monkeypatch.setattr(sim, "_simulate_frames", counting_simulate)
+            run_uplink_ber(cfg)
+            assert [get() for get, _ in calls] == [3] * len(calls)
+            monkeypatch.setattr(sim, "_simulate_frames", failing_simulate)
+            with pytest.raises(RuntimeError, match="frame failed"):
+                run_uplink_ber(cfg)
+            assert [get() for get, _ in calls] == [3] * len(calls)
+        finally:
+            for (_, put), count in zip(calls, saved):
+                put(count)
+        assert inside == [[1] * len(calls)] * 2
 
     # 18 frames x 3 points x 16 rows: each chunk of 9 or 18 frames passes
     # _DECODE_ROWS, so a Viterbi call holds rows of several points, while
