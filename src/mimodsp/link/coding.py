@@ -17,9 +17,10 @@ oldest register bit, so flipping either flips both coded bits, and with
 
 A coded bit ``c`` with LLR ``l`` (positive favours 0) adds
 ``(1 - 2c) * l / 2``, so ``x_j`` is one of ``p, q, -p, -q`` with
-``p = (l0 + l1) / 2`` and ``q = (l0 - l1) / 2``.  Negation is exact in
-float64, so the decisions are those of an add-compare-select that works
-out all 128 branch metrics, bit for bit.
+``p = (l0 + l1) / 2`` and ``q = (l0 - l1) / 2``.  A step is four ufuncs
+into buffers made once per call: ``m[0::2] + [x; -x]``, ``m[1::2] - [x; -x]``,
+their maximum and ``>``.  One ``take`` gathers ``[x; -x]`` for a block
+of steps, sized by ``_BLOCK_BYTES`` to stay in cache at any batch.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ _GENERATORS = (0o171, 0o133)
 TAIL_BITS = 6
 _HALF = 1 << (TAIL_BITS - 1)     # butterflies per step: half the 64 states
 _NEG = -1e30    # effectively -inf path metric without producing NaNs
+_BLOCK_BYTES = 1 << 18  # branch metrics gathered at once: stays in cache
 
 
 def _row(j: int) -> int:
@@ -41,6 +43,7 @@ def _row(j: int) -> int:
 
 
 _ROW = np.array([_row(j) for j in range(_HALF)])
+_ROW2 = np.stack((_ROW, _ROW ^ 2))      # rows of x_j and of -x_j
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -64,17 +67,18 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
 def viterbi_decode(llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
     """Hard info bits from coded-bit LLRs (positive means bit 0).
 
-    Accepts one codeword or a (batch, 2T) array and runs all batch
-    entries through the trellis together.  Ties keep the even
-    predecessor.  Each step's decisions are packed eight codewords to a
-    byte, 8 bytes per codeword.  Traceback starts in the zero state,
-    matching the tail.
+    Accepts one codeword or a (batch, 2T) array and runs all batch entries
+    through the trellis together.  Bits equal a full add-compare-select's:
+    negation is exact and IEEE defines ``a - x`` as ``a + (-x)``, so max and
+    the strict ``>`` see the same values and ties keep the even predecessor.
+    Each step's decisions are packed eight codewords to a byte, 8 bytes per
+    codeword.  Traceback starts in the zero state, matching the tail.
     """
     arr = np.asarray(llrs, dtype=np.float64)
     rows = np.atleast_2d(arr)
+    if rows.ndim != 2 or rows.shape[1] % 2:
+        raise ValueError(f"LLRs must be (2T,) or (batch, 2T), not {arr.shape}")
     b, width = rows.shape
-    if width % 2:
-        raise ValueError("LLR count must be even for a rate-1/2 code")
     t_steps = width // 2
     if n_info is None:
         n_info = t_steps - TAIL_BITS
@@ -89,14 +93,25 @@ def viterbi_decode(llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
     pq *= 0.5
     metrics = np.full((2 * _HALF, b), _NEG)
     metrics[0] = 0.0
+    even, odd = metrics[0::2], metrics[1::2]
+    stay, flip = np.empty((2, 2, _HALF, b))     # from 2j, from 2j + 1
+    stay2, flip2 = stay.reshape(2 * _HALF, b), flip.reshape(2 * _HALF, b)
+    block = max(1, _BLOCK_BYTES // (2 * _HALF * 8 * max(b, 1)))
+    pm = np.empty((block, 4, b))                # [p, q, -p, -q] per step
+    x = np.empty((block, 2, _HALF, b))          # [x_j; -x_j] per step
+    flags = np.empty((block, 2 * _HALF, b), dtype=bool)
     decisions = np.empty((t_steps, 2 * _HALF, (b + 7) // 8), dtype=np.uint8)
-    for step in range(t_steps):
-        x = np.concatenate((pq[step], -pq[step]))[_ROW]
-        even, odd = metrics[0::2], metrics[1::2]
-        stay = np.concatenate((even + x, even - x))     # from 2j
-        flip = np.concatenate((odd - x, odd + x))       # from 2j + 1
-        metrics = np.maximum(stay, flip)
-        decisions[step] = np.packbits(flip > stay, axis=1, bitorder="little")
+    for t in range(0, t_steps, block):         # t: the block's first step
+        n = min(block, t_steps - t)
+        pm[:n, :2] = pq[t:t + n]
+        np.negative(pm[:n, :2], out=pm[:n, 2:])
+        np.take(pm[:n], _ROW2, axis=1, out=x[:n], mode="clip")  # unbuffered
+        for i in range(n):
+            np.add(even, x[i], out=stay)
+            np.subtract(odd, x[i], out=flip)
+            np.maximum(stay2, flip2, out=metrics)
+            np.greater(flip2, stay2, out=flags[i])
+        decisions[t:t + n] = np.packbits(flags[:n], axis=2, bitorder="little")
     # traceback from the all-zero terminating state
     states = np.zeros(b, dtype=np.intp)
     cols = np.arange(b)

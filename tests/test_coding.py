@@ -110,6 +110,14 @@ class TestDecoder:
         with pytest.raises(ValueError):
             viterbi_decode(np.ones(13))
 
+    def test_empty_batch(self):
+        decoded = viterbi_decode(np.zeros((0, 40)))
+        assert decoded.shape == (0, 14) and decoded.dtype == np.uint8
+
+    def test_rejects_three_dim_input(self):
+        with pytest.raises(ValueError, match=r"\(batch, 2T\)"):
+            viterbi_decode(np.zeros((2, 3, 40)))
+
     def test_rejects_inconsistent_info_length(self):
         llrs = np.ones(2 * (10 + 6))
         with pytest.raises(ValueError):
@@ -136,27 +144,40 @@ class TestDecoder:
                 assert metric(u, prev) == sign * x
 
 
-def _pin_inputs():
+def _pin_inputs(rows=48, n_info=250):
     rng = np.random.default_rng(2468)
-    bits = rng.integers(0, 2, size=(48, 250)).astype(np.uint8)
+    bits = rng.integers(0, 2, size=(rows, n_info)).astype(np.uint8)
     coded = conv_encode(bits)
     llrs = 2.0 * (1.0 - 2.0 * coded) + 1.8 * rng.standard_normal(coded.shape)
     return bits, llrs
 
 
 # decoded bits recorded from the gathered add-compare-select decoder that
-# the butterfly replaced: bit errors and a digest of the output
+# the butterfly replaced (the first three cases), and from the butterfly
+# that allocated per step (the rest): bit errors and a digest of the output
 @pytest.mark.parametrize("case, n_errors, digest", [
     ("noisy", 445, "2a5fbe91570bc399"),
     ("integer", 519, "c48aae4a37092bf7"),    # rounded LLRs: many exact ties
     ("one_dim", 12, "9f322a0b7100268e"),
+    # 1,024 steps: a partial decision byte and a partial last block
+    ("batch65", 3094, "76447c8bcccdd1b9"),
+    ("batch399", 18432, "4f1e35ff48cdc699"),    # one-step blocks
+    ("zeros", 5941, "ff6698a6e831ffcf"),        # every comparison ties
+    ("negative_zeros", 5941, "ff6698a6e831ffcf"),
 ])
 def test_decoded_bits_pinned(case, n_errors, digest):
-    bits, llrs = _pin_inputs()
+    if case.startswith("batch"):
+        bits, llrs = _pin_inputs(int(case[5:]), 1018)
+    else:
+        bits, llrs = _pin_inputs()
     if case == "integer":
         llrs = np.rint(llrs)
     elif case == "one_dim":
         bits, llrs = bits[7], llrs[7]
+    elif case == "zeros":
+        llrs = np.zeros_like(llrs)
+    elif case == "negative_zeros":
+        llrs = np.full_like(llrs, -0.0)
     decoded = viterbi_decode(llrs)
     assert decoded.shape == bits.shape
     assert int(np.count_nonzero(decoded != bits)) == n_errors
