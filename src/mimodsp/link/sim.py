@@ -13,13 +13,15 @@ points (common random numbers) and results do not depend on how frames
 are split across workers.  SNR is defined as 1 / N0 with unit-power
 transmit symbols and unit-variance channel entries per receive antenna.
 
-A worker task is one frame chunk over the whole grid.  Each frame's data
-(faulty antennas too: ``exclude`` drops them once per frame) is built
-once and run at every SNR point; coded rows of all points wait in one
-queue, tagged with their point, and are decoded together once
+A worker task is one frame chunk over every run and the whole grid.  The
+runs share their frames: an outage study's baseline and fractions differ
+only in their faulty antennas.  Each frame's data is built once and
+serves every run at every SNR point (``exclude`` drops a run's faulty
+antennas once per frame); coded rows of all runs and points wait in one
+queue, tagged with their run and point, and are decoded together once
 ``_DECODE_ROWS`` wait, so memory grows with neither frames nor grid.
-The whole run, pool included, uses one BLAS thread: the workers fill the
-cores, and float sums then do not depend on the host or the split.
+The whole study, pool included, uses one BLAS thread: the workers fill
+the cores, and float sums then do not depend on the host or the split.
 """
 from __future__ import annotations
 
@@ -183,46 +185,58 @@ def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
     return g, g_hat, bits, x, w
 
 
-def _simulate_frames(cfg: SimConfig, frames: Sequence[int]) -> list:
-    """Bit errors per SNR point over a frame range, frame-major."""
-    const = Constellation.from_name(cfg.constellation)
-    overlay = cfg.overlay()
-    faults = (CircuitErrorModel(cfg.victim_fraction, cfg.victim_mode)
-              if cfg.victim_policy == "ignore" else None)
-    n_info = cfg.info_bits_per_stream()
-    errors = np.zeros(len(cfg.snr_db), dtype=np.int64)
-    queue = []      # (point, llr rows, info bits), k rows each
-    last = len(cfg.snr_db) - 1
+def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
+    """Bit errors per run and SNR point over a frame range, frame-major.
+
+    ``cfgs`` differ only in their victim fields, as the runs of
+    :func:`outage_configs` do, so every run reads the same frame data.
+    """
+    const = Constellation.from_name(cfgs[0].constellation)
+    overlay = cfgs[0].overlay()
+    faults = [CircuitErrorModel(c.victim_fraction, c.victim_mode)
+              if c.victim_policy == "ignore" else None for c in cfgs]
+    n_info = cfgs[0].info_bits_per_stream()
+    errors = np.zeros((len(cfgs), len(cfgs[0].snr_db)), dtype=np.int64)
+    queue = []      # (run, point, llr rows, info bits), k rows each
+    last_run, last = len(cfgs) - 1, len(cfgs[0].snr_db) - 1
     for frame in frames:
-        g, g_hat, bits, x, w = _frame_data(cfg, frame, const)
+        g, g_hat, bits, x, w = _frame_data(cfgs[0], frame, const)
         gx = g @ x
-        if cfg.victim_policy == "exclude":
-            victims = draw_victims(cfg.m, cfg.victim_fraction,
-                                   stream_rng(cfg.seed, frame, 4))
-            g_hat, gx, w = (np.delete(a, victims, axis=0)
-                            for a in (g_hat, gx, w))
-        for point, snr_db in enumerate(cfg.snr_db):
-            noise_var = 10.0 ** (-snr_db / 10.0)
-            y = gx + np.sqrt(noise_var) * w
-            if point == last:
-                del gx      # read by no later point: free it for the detector
-            if faults is not None:  # stuck level follows the point's RMS
-                y, _ = inject_errors(y, faults, stream_rng(cfg.seed, frame, 4))
-            if cfg.adc_bits is not None:
-                y = quantize_adc(y, cfg.adc_bits)
-            det = build_uplink_detector(g_hat, cfg.detector, noise_var,
-                                        overlay=overlay,
-                                        nsa_order=cfg.nsa_order,
-                                        cd_sweeps=cfg.cd_sweeps,
-                                        c_const=cfg.c_const)
-            xhat = det.detect(y)
-            if cfg.coded:
-                queue.append((point, demap_soft(xhat, const, noise_var), bits))
-                if len(queue) * cfg.k >= _DECODE_ROWS:
-                    _decode_queue(queue, n_info, errors)
-            else:
-                errors[point] += np.count_nonzero(demap_hard(xhat, const)
-                                                  != bits)
+        for run, cfg in enumerate(cfgs):
+            # later runs read the frame's own arrays; the last run takes
+            # them, so none outlives the last run and point that read it
+            shared = (g_hat, gx, w) if run < last_run else None
+            if cfg.victim_policy == "exclude":
+                victims = draw_victims(cfg.m, cfg.victim_fraction,
+                                       stream_rng(cfg.seed, frame, 4))
+                g_hat, gx, w = (np.delete(a, victims, axis=0)
+                                for a in (g_hat, gx, w))
+            for point, snr_db in enumerate(cfg.snr_db):
+                noise_var = 10.0 ** (-snr_db / 10.0)
+                y = gx + np.sqrt(noise_var) * w
+                if point == last:
+                    del gx  # read by no later point: free it for the detector
+                if faults[run] is not None:  # stuck level follows the RMS
+                    y, _ = inject_errors(y, faults[run],
+                                         stream_rng(cfg.seed, frame, 4))
+                if cfg.adc_bits is not None:
+                    y = quantize_adc(y, cfg.adc_bits)
+                det = build_uplink_detector(g_hat, cfg.detector, noise_var,
+                                            overlay=overlay,
+                                            nsa_order=cfg.nsa_order,
+                                            cd_sweeps=cfg.cd_sweeps,
+                                            c_const=cfg.c_const)
+                xhat = det.detect(y)
+                if cfg.coded:
+                    queue.append((run, point,
+                                  demap_soft(xhat, const, noise_var), bits))
+                    if len(queue) * cfg.k >= _DECODE_ROWS:
+                        _decode_queue(queue, n_info, errors)
+                else:
+                    errors[run, point] += np.count_nonzero(
+                        demap_hard(xhat, const) != bits)
+            if shared is not None:
+                g_hat, gx, w = shared
     if queue:
         _decode_queue(queue, n_info, errors)
     return errors.tolist()
@@ -230,11 +244,12 @@ def _simulate_frames(cfg: SimConfig, frames: Sequence[int]) -> list:
 
 def _decode_queue(queue: list, n_info: int, errors: np.ndarray) -> None:
     """Decode every queued row in one Viterbi call, add each row's bit
-    errors to its point, and empty the queue."""
-    points, llrs, refs = zip(*queue)
+    errors to its run and point, and empty the queue."""
+    runs, points, llrs, refs = zip(*queue)
     decoded = viterbi_decode(np.concatenate(llrs), n_info=n_info)
     wrong = np.count_nonzero(decoded != np.concatenate(refs), axis=1)
-    np.add.at(errors, np.repeat(points, len(refs[0])), wrong)
+    rows = len(refs[0])
+    np.add.at(errors, (np.repeat(runs, rows), np.repeat(points, rows)), wrong)
     queue.clear()
 
 
@@ -257,8 +272,9 @@ def _openblas_thread_calls() -> tuple:
 def _one_blas_thread():
     """One BLAS thread inside the block, the caller's count after it.
 
-    All of ``run_uplink_ber`` runs in it: pool workers fork with one
-    thread, and the serial path has no second thread spinning.  OpenBLAS's
+    All of ``_run_ber``, which serves ``run_uplink_ber`` and
+    ``run_outage_study``, runs in it: pool workers fork with one thread,
+    and the serial path has no second thread spinning.  OpenBLAS's
     vector-matrix product (cd's correlation, chd's substitutions) sums in
     an order set by its thread count, so float results then depend on
     neither the host nor ``workers``.  numpy has no call for this, so the
@@ -275,30 +291,40 @@ def _one_blas_thread():
             put(count)
 
 
-def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
-    """BER versus SNR over ``cfg.frames`` coherence blocks per point."""
-    cfg.validate()
+def _run_ber(cfgs: Sequence[SimConfig], workers: int) -> Tuple[BerResult, ...]:
+    """One :class:`BerResult` per checked config, all runs on one pool;
+    the configs differ only in their victim fields."""
     if workers < 1:
         raise ValueError("workers: must be positive")
-    bounds = np.linspace(0, cfg.frames, workers + 1).astype(int)
+    frames = cfgs[0].frames
+    bounds = np.linspace(0, frames, workers + 1).astype(int)
     chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
               if hi > lo]
-    # one task per frame chunk, each over the whole grid
-    args = (repeat(cfg), chunks)
+    # one task per frame chunk, each over every run and the whole grid
+    args = (repeat(cfgs), chunks)
     with _one_blas_thread():
         if len(chunks) == 1:
             chunk_errors = list(map(_simulate_frames, *args))
         else:
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                 chunk_errors = list(pool.map(_simulate_frames, *args))
-    total = cfg.frames * cfg.k * cfg.info_bits_per_stream()
-    points = []
-    for snr, errors in zip(cfg.snr_db, map(sum, zip(*chunk_errors))):
-        ber = errors / total
-        stderr = math.sqrt(max(ber * (1.0 - ber), 0.0) / total)
-        points.append(BerPoint(snr_db=float(snr), n_bits=total,
-                               n_errors=errors, ber=ber, stderr=stderr))
-    return BerResult(config=cfg, points=tuple(points))
+    total = frames * cfgs[0].k * cfgs[0].info_bits_per_stream()
+    results = []
+    for cfg, run_errors in zip(cfgs, zip(*chunk_errors)):
+        points = []
+        for snr, errors in zip(cfg.snr_db, map(sum, zip(*run_errors))):
+            ber = errors / total
+            stderr = math.sqrt(max(ber * (1.0 - ber), 0.0) / total)
+            points.append(BerPoint(snr_db=float(snr), n_bits=total,
+                                   n_errors=errors, ber=ber, stderr=stderr))
+        results.append(BerResult(config=cfg, points=tuple(points)))
+    return tuple(results)
+
+
+def run_uplink_ber(cfg: SimConfig, workers: int = 1) -> BerResult:
+    """BER versus SNR over ``cfg.frames`` coherence blocks per point."""
+    cfg.validate()
+    return _run_ber((cfg,), workers)[0]
 
 
 class EvmPoint(NamedTuple):
@@ -466,18 +492,20 @@ def run_outage_study(cfg: SimConfig, fractions: Sequence[float],
                      workers: int = 1) -> OutageResult:
     """SNR penalty at a target BER versus faulty-antenna fraction.
 
-    Runs the configs of :func:`outage_configs`.  Identical random streams
-    across runs make the penalty a paired comparison.
+    Runs the configs of :func:`outage_configs` in one pass on one pool:
+    each frame's data is built once and serves the baseline and every
+    fraction.  Identical random streams across runs make the penalty a
+    paired comparison.  A baseline that never crosses ``target_ber``
+    raises ``RuntimeError``, after the fraction runs have run.
     """
-    base_cfg, *run_cfgs = outage_configs(cfg, fractions, policy, target_ber)
-    base = run_uplink_ber(base_cfg, workers=workers)
+    base, *tables = _run_ber(outage_configs(cfg, fractions, policy,
+                                            target_ber), workers)
     base_snr, base_status = snr_at_ber(base, target_ber)
     if base_status != "ok":
         raise RuntimeError(f"baseline never reaches BER {target_ber:g} "
                            f"inside the SNR grid ({base_status})")
     points = []
-    for frac, run_cfg in zip(fractions, run_cfgs):
-        table = run_uplink_ber(run_cfg, workers=workers)
+    for frac, table in zip(fractions, tables):
         snr, status = snr_at_ber(table, target_ber)
         penalty = snr - base_snr if status == "ok" else math.inf
         points.append(OutagePoint(fraction=float(frac), snr_db=snr,

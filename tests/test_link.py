@@ -18,7 +18,8 @@ from mimodsp import (PaModel, SimConfig, run_calibration_study,
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
 from mimodsp.impairments import draw_victims, inject_errors
 from mimodsp.link import sim, viterbi_decode
-from mimodsp.link.sim import BerPoint, BerResult
+from mimodsp.link.sim import (FAULT_POLICIES, BerPoint, BerResult,
+                              OutagePoint, OutageResult, outage_configs)
 from mimodsp.numerics import ZeroDiagonalError
 
 
@@ -546,7 +547,7 @@ class TestOutageStudy:
             raise AssertionError("a run started before every config was "
                                  "checked")
 
-        monkeypatch.setattr(sim, "run_uplink_ber", no_run)
+        monkeypatch.setattr(sim, "_simulate_frames", no_run)
         cfg = SimConfig(m=16, k=2, snr_db=(0.0,), coded=False, frames=2)
         with pytest.raises(ValueError,
                            match="^fractions: 0.95: victim_fraction"):
@@ -555,6 +556,67 @@ class TestOutageStudy:
         with pytest.raises(ValueError, match="^target_ber:"):
             run_outage_study(cfg, fractions=(0.25,), policy="exclude",
                              target_ber=0.0)
+
+    # uncoded: target 3e-2 is crossed by the baseline and by the 0.25
+    # exclude run, not by the 0.25 ignore run (above_grid)
+    _UNCODED = SimConfig(m=12, k=3, snr_db=(-8.0, -6.0, -4.0, -2.0, 0.0),
+                         coded=False, coherence_uses=200, frames=10, seed=6)
+    # coded: 3 runs x 4 points x 16 rows per frame, so each Viterbi call
+    # of _DECODE_ROWS rows holds rows of every run
+    _CODED = SimConfig(m=20, k=16, snr_db=(-8.0, -6.0, -4.0, -2.0),
+                       coded=True, coherence_uses=16, frames=18, seed=3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("policy", ["exclude", "ignore"])
+    @pytest.mark.parametrize("cfg, fractions, target", [
+        (_UNCODED, (0.0, 0.25), 3e-2), (_CODED, (0.0, 0.1), 5e-2)])
+    def test_equals_separate_runs(self, cfg, fractions, target, policy,
+                                  workers):
+        # the one-pass study against one run_uplink_ber per config
+        configs = outage_configs(cfg, fractions, policy, target)
+        tables = [run_uplink_ber(c) for c in configs]
+        assert sim._run_ber(configs, workers) == tuple(tables)
+        base_snr, base_status = snr_at_ber(tables[0], target)
+        assert base_status == "ok"
+        points = []
+        for frac, table in zip(fractions, tables[1:]):
+            snr, status = snr_at_ber(table, target)
+            penalty = snr - base_snr if status == "ok" else math.inf
+            points.append(OutagePoint(frac, snr, penalty, status))
+        assert run_outage_study(cfg, fractions, policy, target,
+                                workers=workers) == OutageResult(
+            target, policy, base_snr, tuple(points))
+
+    def test_decode_batches_span_runs(self, monkeypatch):
+        cfg = self._CODED
+        runs_per_batch = []
+        decode_queue = sim._decode_queue
+
+        def recording_decode(queue, n_info, errors):
+            runs_per_batch.append({run for run, *_ in queue})
+            decode_queue(queue, n_info, errors)
+
+        monkeypatch.setattr(sim, "_decode_queue", recording_decode)
+        run_outage_study(cfg, (0.0, 0.1), "exclude", 5e-2)
+        assert len(runs_per_batch) > 1
+        assert all(runs == {0, 1, 2} for runs in runs_per_batch)
+
+    def test_frame_data_is_built_once_per_frame(self, monkeypatch):
+        # not once per frame and run: the baseline and every fraction
+        # share each frame's channel, estimate, payload and noise
+        calls = []
+        frame_data = sim._frame_data
+
+        def counting_frame_data(cfg, frame, const):
+            calls.append(frame)
+            return frame_data(cfg, frame, const)
+
+        monkeypatch.setattr(sim, "_frame_data", counting_frame_data)
+        cfg = self._UNCODED
+        for policy in FAULT_POLICIES:
+            calls.clear()
+            run_outage_study(cfg, (0.0, 0.25), policy, 3e-2, workers=1)
+            assert calls == list(range(cfg.frames))
 
     def test_rejects_unknown_policy(self):
         cfg = SimConfig(m=12, k=3, snr_db=(0.0,), frames=2)
