@@ -42,6 +42,7 @@ __all__ = [
     "fit_wnsa_weights",
     "MAX_SERIES_ORDER",
     "DETECTORS",
+    "N0_FREE_DETECTORS",
     "UplinkDetector",
     "build_uplink_detector",
 ]
@@ -262,6 +263,7 @@ def _matched_filter(g, y, ov):
 
 
 DETECTORS = ("mr", "zf", "mmse", "chd", "cd", "nsa", "wnsa", "mqrd")
+N0_FREE_DETECTORS = ("mr", "zf")     # their build never reads noise_var
 
 
 @dataclass

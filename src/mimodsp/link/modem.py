@@ -4,14 +4,16 @@ Bit convention: a square QAM symbol is two Gray PAM axes.  Its ``2m``
 bits interleave across them, even positions (0, 2, ...) forming the
 in-phase label and odd positions the quadrature label, each
 most-significant first.  The interleave is read only as the
-``[..., axis::2]`` slice of a symbol's bits (axis 0 is I, axis 1 is Q),
-which :func:`map_bits` and both demappers take.  The all-zero label
+``(axis bits, 2)`` shape of a symbol's bits, I then Q in the last axis,
+by :func:`_axis_labels` and both demappers.  The all-zero label
 sits in the first quadrant at maximum amplitude, so QPSK maps ``00`` to
 ``(1 + j) / sqrt(2)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 
 import numpy as np
 
@@ -55,26 +57,45 @@ class Constellation:
         return map_bits(bits.ravel(), self)
 
 
+def _axis_labels(bits: np.ndarray, c: Constellation) -> np.ndarray:
+    """(..., symbols, 2) I and Q labels of a flat or (streams, n) bit array."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    n, rest = divmod(bits.shape[-1], c.bits_per_symbol)
+    if rest:
+        raise ValueError("bit count must be a multiple of bits_per_symbol")
+    w = 1 << np.arange(c.axis_bits, dtype=np.uint8)[::-1]
+    return w @ bits.reshape(*bits.shape[:-1], n, c.axis_bits, 2)
+
+
 def map_bits(bits: np.ndarray, c: Constellation) -> np.ndarray:
     """Symbols for a flat or (streams, n) bit array, MSB-first labels."""
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.shape[-1] % c.bits_per_symbol:
-        raise ValueError("bit count must be a multiple of bits_per_symbol")
-    sym = bits.reshape(*bits.shape[:-1], -1, c.bits_per_symbol)
-    w = 1 << np.arange(c.axis_bits - 1, -1, -1)
-    return (c.axis_levels[sym[..., 0::2] @ w]
-            + 1j * c.axis_levels[sym[..., 1::2] @ w])
+    return c.axis_levels[_axis_labels(bits, c)].view(complex)[..., 0]
+
+
+def _level_distances(symbols: np.ndarray, c: Constellation):
+    """Per level, in label order: (..., symbols, 2) squared I, Q distances."""
+    v = np.ascontiguousarray(symbols, dtype=complex)[..., None].view(float)
+    return ((v - level) ** 2 for level in c.axis_levels)
+
+
+def _nearest_labels(symbols: np.ndarray, c: Constellation) -> np.ndarray:
+    """(..., symbols, 2) uint8 nearest-level labels, ties as in argmin."""
+    dists = _level_distances(symbols, c)
+    best = next(dists)
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for label, d in enumerate(dists, 1):
+        np.copyto(labels, label, where=d < best)
+        np.minimum(best, d, out=best)
+    return labels
 
 
 def demap_hard(symbols: np.ndarray, c: Constellation) -> np.ndarray:
     """Nearest-point decision, returned as bits in mapping order."""
-    symbols = np.asarray(symbols)
-    bits = np.empty((*symbols.shape, c.bits_per_symbol), dtype=np.int64)
-    shifts = np.arange(c.axis_bits - 1, -1, -1)
-    for axis, values in enumerate((symbols.real, symbols.imag)):
-        label = np.argmin((values[..., None] - c.axis_levels) ** 2, axis=-1)
-        bits[..., axis::2] = (label[..., None] >> shifts) & 1
-    return bits.reshape(*symbols.shape[:-1], -1)
+    shifts = np.arange(c.axis_bits - 1, -1, -1, dtype=np.int64)
+    labels = _nearest_labels(symbols, c)
+    *lead, n, _ = labels.shape
+    bits = (labels[..., None, :] >> shifts[:, None]) & 1
+    return bits.reshape(*lead, n * c.bits_per_symbol)
 
 
 def demap_soft(symbols: np.ndarray, c: Constellation, noise_var: float) -> np.ndarray:
@@ -87,17 +108,12 @@ def demap_soft(symbols: np.ndarray, c: Constellation, noise_var: float) -> np.nd
     """
     if noise_var <= 0:
         raise ValueError("noise variance must be positive")
-    symbols = np.asarray(symbols)
-    ab = c.axis_bits
-    axis_labels = np.arange(1 << ab)
-    llrs = np.empty((*symbols.shape, c.bits_per_symbol))
-    half_nv = noise_var / 2.0
-    for axis, values in enumerate((symbols.real, symbols.imag)):
-        d2 = (values[..., None] - c.axis_levels) ** 2
-        axis_llrs = llrs[..., axis::2]
-        for j in range(ab):
-            mask1 = ((axis_labels >> (ab - 1 - j)) & 1).astype(bool)
-            d0 = np.min(d2[..., ~mask1], axis=-1)
-            d1 = np.min(d2[..., mask1], axis=-1)
-            axis_llrs[..., j] = (d1 - d0) / half_nv
-    return llrs.reshape(*symbols.shape[:-1], -1)
+    dists = list(_level_distances(symbols, c))
+    *lead, n, _ = dists[0].shape
+    llrs = np.empty((*lead, n, c.axis_bits, 2))
+    for j in range(c.axis_bits):  # min over a hypothesis's levels is exact
+        b = (np.arange(len(dists)) >> (c.axis_bits - 1 - j)) & 1
+        d0, d1 = (reduce(np.minimum, compress(dists, b == v)) for v in (0, 1))
+        np.subtract(d1, d0, out=llrs[..., j, :])
+    llrs /= noise_var / 2.0
+    return llrs.reshape(*lead, n * c.bits_per_symbol)

@@ -2,10 +2,12 @@
 calibration, fault outage.
 
 Frame model: one frame is one coherence block.  The channel is drawn
-once, estimated from pilots, the detector is built once (per-realization
-cost), and ``coherence_uses`` payload vectors are pushed through it.
+once, estimated from pilots, the detector is built once per SNR point
+(per-realization cost; mr and zf do not read N0, so once per frame and
+run), and ``coherence_uses`` payload vectors are pushed through it.
 Every user transmits an independent zero-terminated convolutional
-codeword filling the block exactly.
+codeword filling the block exactly, or, uncoded, raw bits whose errors
+are counted on the per-axis labels of the hard decisions.
 
 Random streams are keyed as ``(seed, frame, purpose)`` so the same
 channels, payloads, and unit-variance noise are reused across SNR
@@ -37,15 +39,16 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
-from ..equalization import (DETECTORS, MAX_SERIES_ORDER, PRECODERS,
-                            build_uplink_detector, precode)
+from ..equalization import (DETECTORS, MAX_SERIES_ORDER, N0_FREE_DETECTORS,
+                            PRECODERS, build_uplink_detector, precode)
 from ..impairments import (FAULT_MODES, CircuitErrorModel, PaModel,
                            build_nonreciprocal, calibrate, draw_front_end_set,
                            draw_victims, evm_db, inject_errors, mui_db,
                            pa_apply, quantize_adc)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
-from .modem import _ORDERS, Constellation, demap_hard, demap_soft, map_bits
+from .modem import (_ORDERS, Constellation, _axis_labels, _nearest_labels,
+                    demap_soft, map_bits)
 
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
@@ -122,6 +125,8 @@ class SimConfig:
             errs.append(f"nsa_order: outside 0..{MAX_SERIES_ORDER}")
         if self.cd_sweeps < 1:
             errs.append("cd_sweeps: must be positive")
+        if not (math.isfinite(self.c_const) and self.c_const > 0):
+            errs.append("c_const: must be finite and positive")
         if not 0.0 <= self.victim_fraction < 1.0:
             errs.append("victim_fraction: outside [0, 1)")
         if self.victim_mode not in FAULT_MODES:
@@ -202,6 +207,7 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
     for frame in frames:
         g, g_hat, bits, x, w = _frame_data(cfgs[0], frame, const)
         gx = g @ x
+        tx_labels = None if cfgs[0].coded else _axis_labels(bits, const)
         for run, cfg in enumerate(cfgs):
             # later runs read the frame's own arrays; the last run takes
             # them, so none outlives the last run and point that read it
@@ -221,20 +227,21 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
                                          stream_rng(cfg.seed, frame, 4))
                 if cfg.adc_bits is not None:
                     y = quantize_adc(y, cfg.adc_bits)
-                det = build_uplink_detector(g_hat, cfg.detector, noise_var,
-                                            overlay=overlay,
-                                            nsa_order=cfg.nsa_order,
-                                            cd_sweeps=cfg.cd_sweeps,
-                                            c_const=cfg.c_const)
+                if point == 0 or cfg.detector.lower() not in N0_FREE_DETECTORS:
+                    det = build_uplink_detector(
+                        g_hat, cfg.detector, noise_var, overlay=overlay,
+                        nsa_order=cfg.nsa_order, cd_sweeps=cfg.cd_sweeps,
+                        c_const=cfg.c_const)
                 xhat = det.detect(y)
                 if cfg.coded:
                     queue.append((run, point,
                                   demap_soft(xhat, const, noise_var), bits))
                     if len(queue) * cfg.k >= _DECODE_ROWS:
                         _decode_queue(queue, n_info, errors)
-                else:
-                    errors[run, point] += np.count_nonzero(
-                        demap_hard(xhat, const) != bits)
+                else:  # a wrong label bit is a wrong payload bit
+                    diff = _nearest_labels(xhat, const) ^ tx_labels
+                    errors[run, point] += sum(np.count_nonzero(diff & (1 << b))
+                                              for b in range(const.axis_bits))
             if shared is not None:
                 g_hat, gx, w = shared
     if queue:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
-from mimodsp.equalization import (NsaDivergenceWarning,
+from mimodsp.equalization import (N0_FREE_DETECTORS, NsaDivergenceWarning,
                                   build_uplink_detector, combiner_exact,
                                   fit_wnsa_weights, nsa_inverse,
                                   post_combining_sinr, precode, wnsa_inverse)
@@ -306,6 +306,14 @@ class TestUplinkDetector:
         if method in ("mr", "zf", "mmse"):
             ref = np.conj(combiner_exact(g, method, nv).T) @ y
             assert np.allclose(out, ref, atol=1e-10)
+
+    @pytest.mark.parametrize("method", N0_FREE_DETECTORS)
+    def test_n0_free_build_ignores_noise_var(self, rng, method):
+        # the simulator builds these once per frame for every SNR point
+        g, _, y = _sim_problem(rng)
+        a = build_uplink_detector(g, method, 0.05).detect(y)
+        b = build_uplink_detector(g, method, 3.0).detect(y)
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_nsa_solves_regularized_system(self, rng):
         # high order makes the truncated series an exact regularized solve

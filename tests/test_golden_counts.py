@@ -6,7 +6,9 @@ fault front end.  The counts were recorded before the detectors were
 folded into one implementation; any change to them is a change in
 behaviour, not a refactor.  The grid is chosen so every detector makes
 errors at one point or more, so a detector that silently stops
-detecting cannot pass by staying at zero.
+detecting cannot pass by staying at zero.  An uncoded table does the
+same for hard decisions: every constellation with mr, zf, mmse and chd,
+and zf behind the fault front end.
 """
 import pytest
 
@@ -68,7 +70,57 @@ def test_front_end_counts_pinned(detector, case):
             == FRONT_END_GOLDEN[detector][case])
 
 
+# Uncoded hard decisions, recorded before they moved to per-axis labels:
+# constellation -> detector (chd at 8/8 bits) -> n_errors per SNR.
+_UNCODED = dict(m=8, k=4, snr_db=(0.0, 6.0, 12.0), coded=False,
+                coherence_uses=64, frames=3, seed=7)
+UNCODED_GOLDEN = {
+    "qpsk": {"mr": (163, 130, 111), "zf": (55, 1, 0), "mmse": (49, 1, 0),
+             "chd": (48, 1, 0)},
+    "16qam": {"mr": (747, 697, 668), "zf": (470, 112, 7),
+              "mmse": (413, 102, 9), "chd": (435, 109, 8)},
+    "64qam": {"mr": (1496, 1417, 1408), "zf": (1146, 562, 150),
+              "mmse": (1047, 548, 146), "chd": (1104, 565, 152)},
+    "256qam": {"mr": (2270, 2215, 2204), "zf": (1904, 1281, 634),
+               "mmse": (1841, 1239, 630), "chd": (1874, 1266, 633)},
+}
+# zf behind the fault front end at a quarter of the antennas (2 of 8):
+# case -> constellation -> n_errors per SNR.
+UNCODED_FRONT_END_GOLDEN = {
+    "exclude": {"qpsk": (109, 7, 0), "16qam": (592, 211, 10)},
+    "ignore_value": {"qpsk": (161, 58, 35), "16qam": (680, 477, 383)},
+}
+
+
+@pytest.mark.parametrize("detector", ["mr", "zf", "mmse", "chd"])
+@pytest.mark.parametrize("constellation", sorted(UNCODED_GOLDEN))
+def test_uncoded_counts_pinned(constellation, detector):
+    bits = 8 if detector == "chd" else None
+    cfg = SimConfig(constellation=constellation, detector=detector,
+                    signal_fraction_bits=bits, operator_fraction_bits=bits,
+                    **_UNCODED)
+    res = run_uplink_ber(cfg)
+    bps = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}[constellation]
+    assert all(p.n_bits == 3 * 4 * 64 * bps for p in res.points)
+    assert (tuple(p.n_errors for p in res.points)
+            == UNCODED_GOLDEN[constellation][detector])
+
+
+@pytest.mark.parametrize("constellation", ["qpsk", "16qam"])
+@pytest.mark.parametrize("case", sorted(UNCODED_FRONT_END_GOLDEN))
+def test_uncoded_front_end_counts_pinned(case, constellation):
+    policy, mode, _ = _FRONT_END_CASES[case]
+    cfg = SimConfig(constellation=constellation, detector="zf",
+                    victim_fraction=0.25, victim_policy=policy,
+                    victim_mode=mode, **_UNCODED)
+    res = run_uplink_ber(cfg)
+    assert (tuple(p.n_errors for p in res.points)
+            == UNCODED_FRONT_END_GOLDEN[case][constellation])
+
+
 def test_every_detector_makes_errors():
-    for detector, by_case in (*GOLDEN.items(), *FRONT_END_GOLDEN.items()):
+    for detector, by_case in (*GOLDEN.items(), *FRONT_END_GOLDEN.items(),
+                              *UNCODED_GOLDEN.items(),
+                              *UNCODED_FRONT_END_GOLDEN.items()):
         for counts in by_case.values():
             assert any(counts), detector

@@ -119,6 +119,8 @@ class TestSimConfigValidation:
             "detector:": SimConfig(m=8, k=2, snr_db=(0.0,), detector="ml"),
             "nsa_order:": SimConfig(m=8, k=2, snr_db=(0.0,), nsa_order=11),
             "cd_sweeps:": SimConfig(m=8, k=2, snr_db=(0.0,), cd_sweeps=0),
+            "c_const: must": SimConfig(m=8, k=2, snr_db=(0.0,),
+                                       c_const=0.0),
             "victim_fraction:": SimConfig(m=8, k=2, snr_db=(0.0,),
                                           victim_fraction=1.0,
                                           victim_policy="ignore"),
@@ -132,6 +134,16 @@ class TestSimConfigValidation:
         for tag, cfg in cases.items():
             with pytest.raises(ValueError, match=tag):
                 cfg.validate()
+
+    @pytest.mark.parametrize("c_const", [0.0, -0.5, math.nan, math.inf,
+                                         -math.inf])
+    def test_c_const_must_be_finite_and_positive(self, c_const):
+        # each of these used to validate and run mqrd at a BER near 0.5
+        cfg = SimConfig(m=16, k=4, snr_db=(10.0,), detector="mqrd",
+                        coded=False, c_const=c_const)
+        with pytest.raises(ValueError, match="c_const: must be finite and "
+                                             "positive"):
+            cfg.validate()
 
     def test_fraction_bits_come_in_pairs(self):
         cfg = SimConfig(m=8, k=2, snr_db=(0.0,), signal_fraction_bits=8)
@@ -202,6 +214,24 @@ class TestUplinkBerMechanics:
         a = run_uplink_ber(cfg)
         b = run_uplink_ber(cfg)
         assert [p.n_errors for p in a.points] == [p.n_errors for p in b.points]
+
+    @pytest.mark.parametrize("detector, builds", [("zf", 4), ("mmse", 12)])
+    def test_n0_free_detector_built_once_per_frame(self, monkeypatch,
+                                                   detector, builds):
+        # zf ignores N0, so one build serves all 3 points of each of the
+        # 4 frames; mmse reads N0 and is built per frame and point
+        calls = []
+        build = sim.build_uplink_detector
+
+        def counting_build(*args, **kwargs):
+            calls.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "build_uplink_detector", counting_build)
+        cfg = SimConfig(m=8, k=2, snr_db=(-4.0, 0.0, 4.0), coded=False,
+                        detector=detector, coherence_uses=64, frames=4)
+        run_uplink_ber(cfg)
+        assert len(calls) == builds
 
     def test_workers_do_not_change_the_answer(self):
         # 7 frames split unevenly over 2 and 3 workers, at several points:

@@ -157,3 +157,119 @@ class TestSoftDecisions:
         for nv in (0.0, -1.0):
             with pytest.raises(ValueError):
                 demap_soft(np.array([1 + 1j]), c, nv)
+
+
+# The demappers as they were before they moved to per-level distance
+# arrays: an argmin over the levels, and masked minima per bit.
+def _reference_demap_hard(symbols, c):
+    symbols = np.asarray(symbols)
+    bits = np.empty((*symbols.shape, c.bits_per_symbol), dtype=np.int64)
+    shifts = np.arange(c.axis_bits - 1, -1, -1)
+    for axis, values in enumerate((symbols.real, symbols.imag)):
+        label = np.argmin((values[..., None] - c.axis_levels) ** 2, axis=-1)
+        bits[..., axis::2] = (label[..., None] >> shifts) & 1
+    return bits.reshape(*symbols.shape[:-1], -1)
+
+
+def _reference_demap_soft(symbols, c, noise_var):
+    symbols = np.asarray(symbols)
+    ab = c.axis_bits
+    axis_labels = np.arange(1 << ab)
+    llrs = np.empty((*symbols.shape, c.bits_per_symbol))
+    half_nv = noise_var / 2.0
+    for axis, values in enumerate((symbols.real, symbols.imag)):
+        d2 = (values[..., None] - c.axis_levels) ** 2
+        axis_llrs = llrs[..., axis::2]
+        for j in range(ab):
+            mask1 = ((axis_labels >> (ab - 1 - j)) & 1).astype(bool)
+            d0 = np.min(d2[..., ~mask1], axis=-1)
+            d1 = np.min(d2[..., mask1], axis=-1)
+            axis_llrs[..., j] = (d1 - d0) / half_nv
+    return llrs.reshape(*symbols.shape[:-1], -1)
+
+
+def _reference_map_bits(bits, c):
+    bits = np.asarray(bits, dtype=np.int64)
+    sym = bits.reshape(*bits.shape[:-1], -1, c.bits_per_symbol)
+    w = 1 << np.arange(c.axis_bits - 1, -1, -1)
+    return (c.axis_levels[sym[..., 0::2] @ w]
+            + 1j * c.axis_levels[sym[..., 1::2] @ w])
+
+
+def _edge_symbols(c, rng, n):
+    """Random symbols around the grid, with exact midpoints between levels,
+    the levels themselves, +-0, +-inf and NaN on either axis."""
+    lv = np.sort(c.axis_levels)
+    special = np.concatenate([lv, (lv[:-1] + lv[1:]) / 2.0, -lv,
+                              [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300]])
+    re = np.concatenate([rng.choice(special, n // 2),
+                         rng.uniform(-1.5, 1.5, n - n // 2)])
+    im = np.concatenate([rng.uniform(-1.5, 1.5, n - n // 2),
+                         rng.choice(special, n // 2)])
+    out = np.empty(n, dtype=complex)
+    out.real, out.imag = rng.permutation(re), rng.permutation(im)
+    return out
+
+
+_SHAPES = [(48,), (4, 12), (2, 3, 8)]
+
+
+# inf - inf, 1e300 ** 2 and the complex64 cast of 1e300 warn on both sides
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAgainstReference:
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["1d", "2d", "3d"])
+    def test_hard_bits_equal(self, constellation, rng, shape):
+        symbols = _edge_symbols(constellation, rng, 48).reshape(shape)
+        got = demap_hard(symbols, constellation)
+        want = _reference_demap_hard(symbols, constellation)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["1d", "2d", "3d"])
+    def test_llrs_bitwise_equal(self, constellation, rng, shape):
+        symbols = _edge_symbols(constellation, rng, 48).reshape(shape)
+        for nv in (0.3, 1e-9):
+            got = demap_soft(symbols, constellation, nv)
+            want = _reference_demap_soft(symbols, constellation, nv)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=["1d", "2d", "3d"])
+    def test_symbols_bitwise_equal(self, constellation, rng, shape):
+        *lead, n = shape
+        bits = rng.integers(0, 2, (*lead, n * constellation.bits_per_symbol))
+        got = map_bits(bits, constellation)
+        want = _reference_map_bits(bits, constellation)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_real_and_single_precision_input(self, constellation, rng):
+        symbols = _edge_symbols(constellation, rng, 48)
+        for values in (symbols.real, symbols.astype(np.complex64)):
+            np.testing.assert_array_equal(
+                demap_hard(values, constellation),
+                _reference_demap_hard(values, constellation))
+            np.testing.assert_array_equal(
+                demap_soft(values, constellation, 0.5).view(np.int64),
+                _reference_demap_soft(values, constellation, 0.5).view(np.int64))
+
+
+class TestEmptyBatch:
+    def test_zero_rows(self, constellation):
+        bps = constellation.bits_per_symbol
+        x = map_bits(np.zeros((0, 8 * bps), dtype=int), constellation)
+        assert x.shape == (0, 8) and x.dtype == complex
+        symbols = np.zeros((0, 5), dtype=complex)
+        hard = demap_hard(symbols, constellation)
+        assert hard.shape == (0, 5 * bps) and hard.dtype == np.int64
+        soft = demap_soft(symbols, constellation, 1.0)
+        assert soft.shape == (0, 5 * bps) and soft.dtype == np.float64
+
+    def test_zero_symbols(self, constellation):
+        assert map_bits(np.zeros((3, 0), dtype=int), constellation).shape == (3, 0)
+        assert demap_hard(np.zeros((3, 0), dtype=complex),
+                          constellation).shape == (3, 0)
+        assert demap_soft(np.zeros(0, dtype=complex), constellation,
+                          1.0).shape == (0,)
