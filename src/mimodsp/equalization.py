@@ -263,7 +263,9 @@ def _matched_filter(g, y, ov):
 
 
 DETECTORS = ("mr", "zf", "mmse", "chd", "cd", "nsa", "wnsa", "mqrd")
-N0_FREE_DETECTORS = ("mr", "zf")     # their build never reads noise_var
+# Their build never reads noise_var, and their detect is the one product
+# C^H y, which distributes over y = G x + sqrt(N0) w.
+N0_FREE_DETECTORS = ("mr", "zf")
 
 
 @dataclass

@@ -3,8 +3,11 @@ calibration, fault outage.
 
 Frame model: one frame is one coherence block.  The channel is drawn
 once, estimated from pilots, the detector is built once per SNR point
-(per-realization cost; mr and zf do not read N0, so once per frame and
-run), and ``coherence_uses`` payload vectors are pushed through it.
+(per-realization cost), and ``coherence_uses`` payload vectors are
+pushed through it.  mr and zf do not read N0: they are built once per
+frame and run, and with no per-point front end (``ignore`` faults, ADC)
+they detect signal and noise once, a point's estimate being
+``C^H G x + sqrt(N0) C^H w``, which differs from ``C^H y`` in the last bits.
 Every user transmits an independent zero-terminated convolutional
 codeword filling the block exactly, or, uncoded, raw bits whose errors
 are counted on the per-axis labels of the hard decisions.
@@ -107,6 +110,8 @@ class SimConfig:
             errs.append("coherence_uses: must be positive")
         if self.frames < 1:
             errs.append("frames: must be positive")
+        if not -math.inf < self.pilot_snr_db <= math.inf:
+            errs.append("pilot_snr_db: must be finite or +inf (perfect CSI)")
         if self.coded and known_const:
             nb = self.coherence_uses * self._bps()
             if nb % 2 or nb // 2 - TAIL_BITS < 1:
@@ -127,7 +132,8 @@ class SimConfig:
             errs.append("cd_sweeps: must be positive")
         if not (math.isfinite(self.c_const) and self.c_const > 0):
             errs.append("c_const: must be finite and positive")
-        if not 0.0 <= self.victim_fraction < 1.0:
+        in_range = 0.0 <= self.victim_fraction < 1.0    # False for NaN
+        if not in_range:
             errs.append("victim_fraction: outside [0, 1)")
         if self.victim_mode not in FAULT_MODES:
             errs.append(f"victim_mode: unknown {self.victim_mode!r}")
@@ -135,11 +141,12 @@ class SimConfig:
             errs.append(f"victim_policy: unknown {self.victim_policy!r}")
         if self.victim_fraction > 0.0 and self.victim_policy == "none":
             errs.append("victim_policy: faults injected but no policy chosen")
-        if self.victim_policy == "exclude":
-            surviving = self.m - int(round(self.victim_fraction * self.m))
-            if surviving < self.k:
-                errs.append("victim_fraction: exclusion leaves fewer "
-                            "antennas than users")
+        victims = round(self.victim_fraction * self.m) if in_range else 0
+        if self.victim_policy == "exclude" and self.m - victims < self.k:
+            errs.append("victim_fraction: exclusion leaves fewer "
+                        "antennas than users")
+        if self.victim_policy == "ignore" and 0 < victims == self.m:
+            errs.append("victim_fraction: every antenna is faulty")
         if errs:
             raise ValueError("; ".join(errs))
 
@@ -193,8 +200,8 @@ def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
 def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
     """Bit errors per run and SNR point over a frame range, frame-major.
 
-    ``cfgs`` differ only in their victim fields, as the runs of
-    :func:`outage_configs` do, so every run reads the same frame data.
+    ``cfgs`` differ only in fields read per run (:func:`_run_ber` checks
+    this), so every run reads the same frame data and overlay.
     """
     const = Constellation.from_name(cfgs[0].constellation)
     overlay = cfgs[0].overlay()
@@ -217,22 +224,30 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
                                        stream_rng(cfg.seed, frame, 4))
                 g_hat, gx, w = (np.delete(a, victims, axis=0)
                                 for a in (g_hat, gx, w))
+            n0_free = cfg.detector.lower() in N0_FREE_DETECTORS
+            # with no per-point front end, C^H y = C^H gx + sqrt(N0) C^H w
+            split = n0_free and faults[run] is None and cfg.adc_bits is None
             for point, snr_db in enumerate(cfg.snr_db):
                 noise_var = 10.0 ** (-snr_db / 10.0)
-                y = gx + np.sqrt(noise_var) * w
-                if point == last:
-                    del gx  # read by no later point: free it for the detector
-                if faults[run] is not None:  # stuck level follows the RMS
-                    y, _ = inject_errors(y, faults[run],
-                                         stream_rng(cfg.seed, frame, 4))
-                if cfg.adc_bits is not None:
-                    y = quantize_adc(y, cfg.adc_bits)
-                if point == 0 or cfg.detector.lower() not in N0_FREE_DETECTORS:
+                if not split:
+                    y = gx + np.sqrt(noise_var) * w
+                    if point == last:
+                        del gx  # no later point reads it: free it
+                    if faults[run] is not None:  # stuck level follows the RMS
+                        y, _ = inject_errors(y, faults[run],
+                                             stream_rng(cfg.seed, frame, 4))
+                    if cfg.adc_bits is not None:
+                        y = quantize_adc(y, cfg.adc_bits)
+                if point == 0 or not n0_free:
                     det = build_uplink_detector(
                         g_hat, cfg.detector, noise_var, overlay=overlay,
                         nsa_order=cfg.nsa_order, cd_sweeps=cfg.cd_sweeps,
                         c_const=cfg.c_const)
-                xhat = det.detect(y)
+                if split and point == 0:
+                    sig, noi = det.detect(gx), det.detect(w)
+                    del gx, w  # every point reads sig and noi instead
+                xhat = (sig + np.sqrt(noise_var) * noi if split
+                        else det.detect(y))
                 if cfg.coded:
                     queue.append((run, point,
                                   demap_soft(xhat, const, noise_var), bits))
@@ -300,9 +315,18 @@ def _one_blas_thread():
 
 def _run_ber(cfgs: Sequence[SimConfig], workers: int) -> Tuple[BerResult, ...]:
     """One :class:`BerResult` per checked config, all runs on one pool;
-    the configs differ only in their victim fields."""
+    the runs share their frames, so the configs may differ only in fields
+    read per run: detector, nsa_order, cd_sweeps, c_const, adc_bits and
+    the victim fields."""
     if workers < 1:
         raise ValueError("workers: must be positive")
+    frame_fields = ("m", "k", "snr_db", "constellation", "coded",
+                    "coherence_uses", "frames", "pilot_snr_db", "seed",
+                    "signal_fraction_bits", "operator_fraction_bits")
+    mixed = [f for f in frame_fields
+             if any(getattr(c, f) != getattr(cfgs[0], f) for c in cfgs)]
+    if mixed:
+        raise ValueError(f"configs: runs differ in {', '.join(mixed)}")
     frames = cfgs[0].frames
     bounds = np.linspace(0, frames, workers + 1).astype(int)
     chunks = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])

@@ -16,8 +16,11 @@ from mimodsp import (PaModel, SimConfig, run_calibration_study,
                      run_downlink_evm, run_outage_study, run_uplink_ber,
                      snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
-from mimodsp.impairments import draw_victims, inject_errors
+from mimodsp.equalization import (N0_FREE_DETECTORS, UplinkDetector,
+                                  build_uplink_detector)
+from mimodsp.impairments import FAULT_MODES, draw_victims, inject_errors
 from mimodsp.link import sim, viterbi_decode
+from mimodsp.link.modem import Constellation, demap_hard, demap_soft
 from mimodsp.link.sim import (FAULT_POLICIES, BerPoint, BerResult,
                               OutagePoint, OutageResult, outage_configs)
 from mimodsp.numerics import ZeroDiagonalError
@@ -144,6 +147,30 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="c_const: must be finite and "
                                              "positive"):
             cfg.validate()
+
+    @pytest.mark.parametrize("pilot_snr_db", [math.nan, -math.inf])
+    def test_pilot_snr_must_be_finite_or_perfect(self, pilot_snr_db):
+        # each of these used to validate and run zf at a BER of 0.5
+        cfg = SimConfig(m=16, k=4, snr_db=(10.0,), coded=False,
+                        pilot_snr_db=pilot_snr_db)
+        with pytest.raises(ValueError, match="^pilot_snr_db: must be finite "
+                                             r"or \+inf"):
+            cfg.validate()
+        for ok in (math.inf, -30.0, 30.0):
+            replace(cfg, pilot_snr_db=ok).validate()
+
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    def test_ignore_needs_a_working_antenna(self, mode):
+        # 0.99 of 16 antennas rounds to all 16: with stuck_at_value and
+        # the ADC this used to validate and then raise mid-sweep
+        cfg = SimConfig(m=16, k=4, snr_db=(-5.0, 0.0), coded=False,
+                        frames=2, adc_bits=4, victim_fraction=0.99,
+                        victim_mode=mode, victim_policy="ignore")
+        with pytest.raises(ValueError, match="^victim_fraction: every "
+                                             "antenna is faulty"):
+            cfg.validate()
+        one_left = replace(cfg, victim_fraction=0.95)   # 15 of 16
+        assert run_uplink_ber(one_left).points[0].n_bits > 0
 
     def test_fraction_bits_come_in_pairs(self):
         cfg = SimConfig(m=8, k=2, snr_db=(0.0,), signal_fraction_bits=8)
@@ -432,6 +459,34 @@ class TestUplinkBerMechanics:
         with pytest.raises(ValueError, match="workers"):
             run_uplink_ber(cfg, workers=0)
 
+    # _run_ber used to read the frames of every run from the first
+    # config: an mr run at seed 2 next to this one counted 436 errors,
+    # against 350 in its own run, with no error raised
+    _MIXED = SimConfig(m=16, k=4, snr_db=(-5.0,), coded=False, frames=2,
+                       seed=1, signal_fraction_bits=8,
+                       operator_fraction_bits=8)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m", 12), ("k", 3), ("snr_db", (-4.0,)), ("constellation", "16qam"),
+        ("coded", True), ("coherence_uses", 256), ("frames", 3),
+        ("pilot_snr_db", 20.0), ("seed", 2), ("signal_fraction_bits", 10),
+        ("operator_fraction_bits", 10)])
+    def test_runs_must_share_the_frame_fields(self, field, value):
+        other = replace(self._MIXED, detector="mr", **{field: value})
+        other.validate()
+        with pytest.raises(ValueError,
+                           match=f"^configs: runs differ in {field}$"):
+            sim._run_ber((self._MIXED, other), 1)
+
+    def test_runs_may_differ_in_the_fields_read_per_run(self):
+        other = replace(self._MIXED, detector="chd", nsa_order=2,
+                        cd_sweeps=2, c_const=0.9, adc_bits=6,
+                        victim_fraction=0.25, victim_mode="stuck_at_value",
+                        victim_policy="ignore")
+        other.validate()
+        assert sim._run_ber((self._MIXED, other), 1) == (
+            run_uplink_ber(self._MIXED), run_uplink_ber(other))
+
     @pytest.mark.xfail(strict=True, raises=ZeroDiagonalError,
                        reason="ROADMAP item 5: a factorization breakdown in "
                               "one frame aborts the whole sweep")
@@ -442,6 +497,91 @@ class TestUplinkBerMechanics:
                         constellation="16qam")
         cfg.validate()
         assert run_uplink_ber(cfg).points[0].n_bits > 0
+
+
+class TestLinearSplit:
+    """mr and zf with no per-point front end detect each frame's signal
+    and noise once per run; every point is then one axpy."""
+
+    _CFG = SimConfig(m=8, k=2, snr_db=(-6.0, -3.0, 0.0, 3.0, 6.0),
+                     coded=False, coherence_uses=64, frames=3, seed=4)
+
+    @staticmethod
+    def _count_detects(monkeypatch):
+        calls = []
+        detect = UplinkDetector.detect
+
+        def counting_detect(self, y):
+            calls.append(self.method)
+            return detect(self, y)
+
+        monkeypatch.setattr(UplinkDetector, "detect", counting_detect)
+        return calls
+
+    @pytest.mark.parametrize("changes, per_frame", [
+        (dict(detector="zf"), 2), (dict(detector="mr"), 2),
+        (dict(detector="mmse"), 5), (dict(detector="zf", adc_bits=4), 5),
+        (dict(detector="zf", victim_fraction=0.25, victim_policy="ignore"),
+         5)])
+    def test_detect_calls_per_frame(self, monkeypatch, changes, per_frame):
+        calls = self._count_detects(monkeypatch)
+        cfg = replace(self._CFG, **changes)
+        run_uplink_ber(cfg)
+        assert len(calls) == per_frame * cfg.frames
+
+    def test_outage_exclude_runs_split(self, monkeypatch):
+        # baseline and two exclude runs, two detects per frame each
+        calls = self._count_detects(monkeypatch)
+        configs = outage_configs(self._CFG, (0.0, 0.25), "exclude", 1e-2)
+        sim._run_ber(configs, 1)
+        assert len(calls) == 2 * len(configs) * self._CFG.frames
+
+    @pytest.mark.parametrize("detector", N0_FREE_DETECTORS)
+    def test_estimate_matches_one_product(self, monkeypatch, detector):
+        estimates = []
+        nearest_labels = sim._nearest_labels
+
+        def recording(xhat, const):
+            estimates.append(xhat)
+            return nearest_labels(xhat, const)
+
+        monkeypatch.setattr(sim, "_nearest_labels", recording)
+        cfg = replace(self._CFG, detector=detector)
+        run_uplink_ber(cfg)
+        const = Constellation.from_name(cfg.constellation)
+        frame_major = iter(estimates)
+        for frame in range(cfg.frames):
+            g, g_hat, _, x, w = sim._frame_data(cfg, frame, const)
+            det = build_uplink_detector(g_hat, detector, 0.0)
+            for snr_db in cfg.snr_db:
+                y = g @ x + np.sqrt(10.0 ** (-snr_db / 10.0)) * w
+                np.testing.assert_allclose(next(frame_major), det.detect(y),
+                                           rtol=1e-12)
+        assert next(frame_major, None) is None
+
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("constellation",
+                             ["qpsk", "16qam", "64qam", "256qam"])
+    @pytest.mark.parametrize("detector", N0_FREE_DETECTORS)
+    def test_counts_equal_a_per_point_loop(self, detector, constellation,
+                                           coded):
+        cfg = SimConfig(m=8, k=2, snr_db=(-12.0, -4.0, 4.0, 12.0),
+                        constellation=constellation, detector=detector,
+                        coded=coded, coherence_uses=64, frames=2, seed=7)
+        const = Constellation.from_name(constellation)
+        expected = [0] * len(cfg.snr_db)
+        for frame in range(cfg.frames):
+            g, g_hat, bits, x, w = sim._frame_data(cfg, frame, const)
+            for i, snr_db in enumerate(cfg.snr_db):
+                noise_var = 10.0 ** (-snr_db / 10.0)
+                det = build_uplink_detector(g_hat, detector, noise_var)
+                xhat = det.detect(g @ x + np.sqrt(noise_var) * w)
+                decided = (viterbi_decode(demap_soft(xhat, const, noise_var),
+                                          n_info=bits.shape[1]) if coded
+                           else demap_hard(xhat, const))
+                expected[i] += int(np.count_nonzero(decided != bits))
+        assert sum(expected) > 0
+        assert [p.n_errors for p in run_uplink_ber(cfg).points] == expected
 
 
 def _synthetic_result(snrs, bers, n_bits=100_000):
