@@ -35,7 +35,7 @@ from .impairments import PaModel
 from .link import (SimConfig, run_calibration_study, run_downlink_evm,
                    run_outage_study, run_uplink_ber)
 from .link.modem import _ORDERS
-from .link.sim import FAULT_POLICIES, outage_configs
+from .link.sim import FAULT_POLICIES, _run_ber, outage_configs
 
 log = logging.getLogger("mimodsp")
 
@@ -184,22 +184,19 @@ def _build_fxp_sweep(s: _Schema, seed: int, workers: int) -> Callable:
     include_float = s.take("include_float", bool, default=False)
     base = _read(s, SimConfig, seed=seed, signal_fraction_bits=None,
                  operator_fraction_bits=None)
-    configs = [("float", base)] if include_float else []
+    configs = [base] if include_float else []
     for n in bits:
         cfg = replace(base, signal_fraction_bits=n, operator_fraction_bits=n)
         try:
             cfg.validate()
         except ValueError as exc:
             raise ConfigError(f"fraction_bits: {exc}") from None
-        configs.append((str(n), cfg))
+        configs.append(cfg)
 
-    def run():
-        rows = []
-        for label, cfg in configs:
-            log.info("fxp_sweep: fraction bits %s", label)
-            res = run_uplink_ber(cfg, workers=workers)
-            rows.extend((label, p.snr_db, p.n_bits, p.n_errors,
-                         f"{p.ber:.6e}") for p in res.points)
+    def run():   # one pass: every width runs over the same frames
+        rows = [(res.config.signal_fraction_bits or "float", p.snr_db,
+                 p.n_bits, p.n_errors, f"{p.ber:.6e}")
+                for res in _run_ber(configs, workers) for p in res.points]
         return ("fraction_bits", "snr_db", "n_bits", "n_errors", "ber"), rows
 
     return run
@@ -378,8 +375,9 @@ def build_experiment(raw: dict, seed_override: Optional[int] = None,
     if seed_override is not None:
         seed = seed_override
     out_name = s.take("output", str, default=f"{name}.csv")
-    cfg_workers = s.take("workers", int, default=1, minimum=1)
-    workers = cfg_workers if workers is None else workers
+    if workers is not None:   # the override replaces the key, check and all
+        s.raw["workers"] = workers
+    workers = s.take("workers", int, default=1, minimum=1)
     runner = _BUILDERS[name](s, seed, workers)
     s.finish()
     echo = {k: v for k, v in raw.items()

@@ -19,14 +19,14 @@ are split across workers.  SNR is defined as 1 / N0 with unit-power
 transmit symbols and unit-variance channel entries per receive antenna.
 
 A worker task is one frame chunk over every run and the whole grid.  The
-runs share their frames: an outage study's baseline and fractions differ
-only in their faulty antennas.  Each frame's data is built once and
-serves every run at every SNR point (``exclude`` drops a run's faulty
-antennas once per frame); coded rows of all runs and points wait in one
-queue, tagged with their run and point, and are decoded together once
-``_DECODE_ROWS`` wait, so memory grows with neither frames nor grid.
-The whole study, pool included, uses one BLAS thread: the workers fill
-the cores, and float sums then do not depend on the host or the split.
+runs share their frames (an outage study's fractions, an fxp_sweep's
+widths).  Each frame's data is built once and serves every run at every
+SNR point (``exclude`` drops a run's faulty antennas once per frame);
+coded rows of all runs and points wait in one queue, tagged with their
+run and point, and are decoded together once ``_DECODE_ROWS`` wait, so
+memory grows with neither frames nor grid.  The whole study, pool
+included, uses one BLAS thread: the workers fill the cores, and float
+sums then do not depend on the host or the split.
 """
 from __future__ import annotations
 
@@ -132,6 +132,8 @@ class SimConfig:
             errs.append("cd_sweeps: must be positive")
         if not (math.isfinite(self.c_const) and self.c_const > 0):
             errs.append("c_const: must be finite and positive")
+        elif self.c_const > 1:
+            errs.append(f"c_const: {self.c_const} above 1, the largest cosine")
         in_range = 0.0 <= self.victim_fraction < 1.0    # False for NaN
         if not in_range:
             errs.append("victim_fraction: outside [0, 1)")
@@ -200,11 +202,11 @@ def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
 def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
     """Bit errors per run and SNR point over a frame range, frame-major.
 
-    ``cfgs`` differ only in fields read per run (:func:`_run_ber` checks
-    this), so every run reads the same frame data and overlay.
+    ``cfgs`` share their frames and differ only in detector, fraction bits
+    (an overlay each), nsa_order, cd_sweeps, c_const, adc_bits and victim_*.
     """
     const = Constellation.from_name(cfgs[0].constellation)
-    overlay = cfgs[0].overlay()
+    overlays = [c.overlay() for c in cfgs]
     faults = [CircuitErrorModel(c.victim_fraction, c.victim_mode)
               if c.victim_policy == "ignore" else None for c in cfgs]
     n_info = cfgs[0].info_bits_per_stream()
@@ -240,7 +242,7 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
                         y = quantize_adc(y, cfg.adc_bits)
                 if point == 0 or not n0_free:
                     det = build_uplink_detector(
-                        g_hat, cfg.detector, noise_var, overlay=overlay,
+                        g_hat, cfg.detector, noise_var, overlay=overlays[run],
                         nsa_order=cfg.nsa_order, cd_sweeps=cfg.cd_sweeps,
                         c_const=cfg.c_const)
                 if split and point == 0:
@@ -316,13 +318,12 @@ def _one_blas_thread():
 def _run_ber(cfgs: Sequence[SimConfig], workers: int) -> Tuple[BerResult, ...]:
     """One :class:`BerResult` per checked config, all runs on one pool;
     the runs share their frames, so the configs may differ only in fields
-    read per run: detector, nsa_order, cd_sweeps, c_const, adc_bits and
-    the victim fields."""
+    read per run: detector, signal_fraction_bits, operator_fraction_bits,
+    nsa_order, cd_sweeps, c_const, adc_bits and the victim fields."""
     if workers < 1:
         raise ValueError("workers: must be positive")
     frame_fields = ("m", "k", "snr_db", "constellation", "coded",
-                    "coherence_uses", "frames", "pilot_snr_db", "seed",
-                    "signal_fraction_bits", "operator_fraction_bits")
+                    "coherence_uses", "frames", "pilot_snr_db", "seed")
     mixed = [f for f in frame_fields
              if any(getattr(c, f) != getattr(cfgs[0], f) for c in cfgs)]
     if mixed:

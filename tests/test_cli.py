@@ -4,15 +4,16 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 import yaml
 
-from mimodsp import SimConfig, table2_cost
+from mimodsp import SimConfig, run_uplink_ber, table2_cost
 from mimodsp.cli import build_experiment, main
+from mimodsp.link import sim
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -132,6 +133,40 @@ class TestRunBer:
                      "--workers", "1"]) == 0
         comments, _, _ = _read_csv(out)
         assert comments["workers"] == "1"
+
+
+class TestRunFxpSweep:
+    def test_one_pass_over_every_width(self, tmp_path, monkeypatch):
+        # the per-width loop built every frame once per width: 18 calls
+        payload = dict(_TINY_BER, experiment="fxp_sweep", detector="chd",
+                       include_float=True, fraction_bits=[2, 3, 4, 6, 8],
+                       snr_db=[-4.0, 0.0], frames=3)
+        calls = []
+        frame_data = sim._frame_data
+
+        def counting_frame_data(*args):
+            calls.append(args[1])
+            return frame_data(*args)
+
+        monkeypatch.setattr(sim, "_frame_data", counting_frame_data)
+        out = str(tmp_path / "fxp.csv")
+        assert main(["run", "--config", _write_config(tmp_path, payload),
+                     "--out", out]) == 0
+        assert calls == [0, 1, 2]
+        _, header, rows = _read_csv(out)
+        assert header == ["fraction_bits", "snr_db", "n_bits", "n_errors",
+                          "ber"]
+        base = SimConfig(m=8, k=2, snr_db=(-4.0, 0.0), detector="chd",
+                         coded=False, coherence_uses=128, frames=3, seed=7)
+        want = []
+        for n in (None, 2, 3, 4, 6, 8):
+            res = run_uplink_ber(replace(base, signal_fraction_bits=n,
+                                         operator_fraction_bits=n))
+            want.extend(["float" if n is None else str(n), str(p.snr_db),
+                         str(p.n_bits), str(p.n_errors), f"{p.ber:.6e}"]
+                        for p in res.points)
+        assert rows == want
+        assert all(int(row[3]) > 0 for row in rows)
 
 
 class TestRunAnalytic:
@@ -318,6 +353,21 @@ class TestValidationFailures:
         assert main(["validate", "--config", cfg]) == 1
         assert (capsys.readouterr().err
                 == "validation error: m: expected int, got 'fish'\n")
+
+    # an override below 1 used to pass validation: a ber run then failed
+    # at run time (exit 2) and a hardening run wrote "# workers: 0"
+    @pytest.mark.parametrize("payload", [
+        _TINY_BER, {"experiment": "hardening", "m_list": [4], "trials": 2}])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_override_is_checked(self, tmp_path, capsys, payload,
+                                         workers):
+        cfg = _write_config(tmp_path, dict(payload, workers=2))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 1
+        assert (capsys.readouterr().err
+                == "validation error: workers: must be at least 1\n")
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.yaml"]) == 1

@@ -148,6 +148,19 @@ class TestSimConfigValidation:
                                              "positive"):
             cfg.validate()
 
+    @pytest.mark.parametrize("c_const", [1.0 + 1e-12, 1.5, 1e9])
+    def test_c_const_must_not_exceed_one(self, c_const):
+        # qrd takes the modified rotation only where |s| <= 1/2, and
+        # [[c, s], [-s*, c]] is sqrt(c^2 + |s|^2) times a unitary: a c above
+        # 1 scales every rotated row up and is no cosine (mqrd at 1e9 and
+        # 12 bits used to run at a BER of 0.49)
+        cfg = SimConfig(m=16, k=4, snr_db=(10.0,), detector="mqrd",
+                        coded=False, c_const=c_const)
+        with pytest.raises(ValueError,
+                           match=r"^c_const: \S+ above 1, the largest "
+                                 r"cosine$"):
+            cfg.validate()
+
     @pytest.mark.parametrize("pilot_snr_db", [math.nan, -math.inf])
     def test_pilot_snr_must_be_finite_or_perfect(self, pilot_snr_db):
         # each of these used to validate and run zf at a BER of 0.5
@@ -469,8 +482,7 @@ class TestUplinkBerMechanics:
     @pytest.mark.parametrize("field, value", [
         ("m", 12), ("k", 3), ("snr_db", (-4.0,)), ("constellation", "16qam"),
         ("coded", True), ("coherence_uses", 256), ("frames", 3),
-        ("pilot_snr_db", 20.0), ("seed", 2), ("signal_fraction_bits", 10),
-        ("operator_fraction_bits", 10)])
+        ("pilot_snr_db", 20.0), ("seed", 2)])
     def test_runs_must_share_the_frame_fields(self, field, value):
         other = replace(self._MIXED, detector="mr", **{field: value})
         other.validate()
@@ -479,13 +491,18 @@ class TestUplinkBerMechanics:
             sim._run_ber((self._MIXED, other), 1)
 
     def test_runs_may_differ_in_the_fields_read_per_run(self):
-        other = replace(self._MIXED, detector="chd", nsa_order=2,
+        other = replace(self._MIXED, detector="chd", signal_fraction_bits=10,
+                        operator_fraction_bits=10, nsa_order=2,
                         cd_sweeps=2, c_const=0.9, adc_bits=6,
                         victim_fraction=0.25, victim_mode="stuck_at_value",
                         victim_policy="ignore")
-        other.validate()
-        assert sim._run_ber((self._MIXED, other), 1) == (
-            run_uplink_ber(self._MIXED), run_uplink_ber(other))
+        unquantized = replace(self._MIXED, detector="cd",
+                              signal_fraction_bits=None,
+                              operator_fraction_bits=None)
+        runs = (self._MIXED, other, unquantized)
+        for cfg in runs:
+            cfg.validate()
+        assert sim._run_ber(runs, 1) == tuple(map(run_uplink_ber, runs))
 
     @pytest.mark.xfail(strict=True, raises=ZeroDiagonalError,
                        reason="ROADMAP item 5: a factorization breakdown in "
