@@ -324,29 +324,28 @@ class UplinkDetector:
         m = g.shape[0]
         if method in ("mr", "zf", "mmse"):
             self._state["combiner"] = combiner_exact(g, method, self.noise_var)
-        elif method in ("nsa", "wnsa"):
-            zbar = _regularized_gram(g, self.noise_var, ov)
-            if method == "nsa":
-                inv = _nsa_inverse_quantized(zbar, self.nsa_order, ov)
-            else:
-                weights = fit_wnsa_weights(zbar, self.nsa_order)
-                inv = _wnsa_inverse_quantized(zbar, weights, ov)
-            self._state["inverse"] = ov.q_operator(inv)
-        elif method == "chd":
-            zbar = _regularized_gram(g, self.noise_var, ov)
-            self._state["low"] = cholesky(zbar, quantize=ov.q_operator)
-        elif method == "mqrd":
-            zbar = _regularized_gram(g, self.noise_var, ov)
-            res = qrd(zbar, mode="modified", c_const=self.c_const,
-                      quantize=ov.q_operator)
-            self._state["r"] = res.r
-            self._state["t"] = np.conj(res.q.T)
-            self.reconstruction_error = res.reconstruction_error
-        else:  # cd
+        elif method == "cd":
             gq = ov.q_operator(g / 4.0) * 4.0
             energy = np.sum(np.abs(gq) ** 2, axis=0) + self.noise_var
             self._state["gq"] = gq
             self._state["inv_energy"] = ov.q_operator(m / energy) / m
+        else:  # nsa, wnsa, chd and mqrd work on the regularized Gram
+            zbar = _regularized_gram(g, self.noise_var, ov)
+            if method in ("nsa", "wnsa"):
+                if method == "nsa":
+                    inv = _nsa_inverse_quantized(zbar, self.nsa_order, ov)
+                else:
+                    weights = fit_wnsa_weights(zbar, self.nsa_order)
+                    inv = _wnsa_inverse_quantized(zbar, weights, ov)
+                self._state["inverse"] = ov.q_operator(inv)
+            elif method == "chd":
+                self._state["low"] = cholesky(zbar, quantize=ov.q_operator)
+            else:  # mqrd
+                res = qrd(zbar, mode="modified", c_const=self.c_const,
+                          quantize=ov.q_operator)
+                self._state["r"] = res.r
+                self._state["t"] = np.conj(res.q.T)
+                self.reconstruction_error = res.reconstruction_error
 
     def detect(self, y: np.ndarray) -> np.ndarray:
         g = self.g_hat
@@ -355,21 +354,20 @@ class UplinkDetector:
         method = self.method
         if method in ("mr", "zf", "mmse"):
             xhat = np.conj(self._state["combiner"].T) @ yc
-        elif method in ("nsa", "wnsa"):
-            s = _matched_filter(g, yc, ov)
-            xhat = ov.q_signal(self._state["inverse"] @ s)
-        elif method == "chd":
-            s = _matched_filter(g, yc, ov)
-            t = forward_substitute(self._state["low"], s, quantize=ov.q_signal)
-            xhat = back_substitute(np.conj(self._state["low"].T), t,
-                                   quantize=ov.q_signal)
-        elif method == "mqrd":
-            s = _matched_filter(g, yc, ov)
-            rhs = ov.q_signal(self._state["t"] @ s)
-            xhat = back_substitute(self._state["r"], rhs, quantize=ov.q_signal)
-        else:  # cd
+        elif method == "cd":
             for xhat in self._cd_updates(yc):
                 pass
+        else:  # nsa, wnsa, chd and mqrd start from the matched filter
+            s = _matched_filter(g, yc, ov)
+            if method in ("nsa", "wnsa"):
+                xhat = ov.q_signal(self._state["inverse"] @ s)
+            elif method == "chd":
+                low = self._state["low"]
+                t = forward_substitute(low, s, ov.q_signal)
+                xhat = back_substitute(np.conj(low.T), t, ov.q_signal)
+            else:  # mqrd
+                rhs = ov.q_signal(self._state["t"] @ s)
+                xhat = back_substitute(self._state["r"], rhs, ov.q_signal)
         return xhat[:, 0] if squeeze else xhat
 
     def _cd_updates(self, yc):

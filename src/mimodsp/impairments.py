@@ -26,6 +26,7 @@ __all__ = [
     "FAULT_MODES",
     "CircuitErrorModel",
     "draw_victims",
+    "stick_victims",
     "inject_errors",
     "sddr_db",
     "per_antenna_sddr_db",
@@ -280,11 +281,9 @@ class CircuitErrorModel:
     """Population of faulty per-antenna processing elements.
 
     ``victim_fraction`` of the antennas are drawn as victims once per
-    realization.  ``stuck_at_max`` pins their output to three times the
-    signal RMS at 45 degrees; ``stuck_at_value`` pins it to zero.
-    ``detected`` is read by nothing here (whether victims are excluded is
-    ``SimConfig.victim_policy``); it stays only for the benchmark's traced
-    loop, which sets it.
+    realization and stuck as :func:`stick_victims` says.  Only
+    :func:`inject_errors` reads it; the uplink simulator builds none.
+    ``detected`` is read by nothing; the benchmark's traced loop sets it.
     """
 
     victim_fraction: float
@@ -308,6 +307,19 @@ def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
     return np.sort(r.choice(m, size=count, replace=False))
 
 
+def stick_victims(y: np.ndarray, victims: np.ndarray, mode: str,
+                  out: Optional[np.ndarray] = None) -> None:
+    """Pin every sample of the ``victims`` rows of ``out`` (default ``y``)
+    in place: ``stuck_at_max`` to three times the RMS of ``y`` at 45
+    degrees, ``stuck_at_value`` to zero."""
+    out = y if out is None else out
+    if victims.size and mode == "stuck_at_max":
+        fs = 3.0 * float(np.sqrt(np.mean(np.abs(y) ** 2))) or 1.0
+        out[victims] = fs * (1.0 + 1j) / np.sqrt(2.0)
+    elif victims.size:  # stuck_at_value
+        out[victims] = 0.0
+
+
 def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
                   seed: RngLike) -> Tuple[np.ndarray, np.ndarray]:
     """Corrupt per-antenna samples; returns (corrupted, victim indices).
@@ -316,17 +328,10 @@ def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
     ``seed`` and every sample of a victim antenna is affected.
     """
     sig = np.asarray(signal, dtype=complex)
-    squeeze = sig.ndim == 1
-    x = sig[:, None].copy() if squeeze else sig.copy()
-    m = x.shape[0]
-    victims = draw_victims(m, err.victim_fraction, seed)
-    if victims.size:
-        if err.mode == "stuck_at_max":
-            fs = 3.0 * float(np.sqrt(np.mean(np.abs(sig) ** 2))) or 1.0
-            x[victims, :] = fs * (1.0 + 1j) / np.sqrt(2.0)
-        else:  # stuck_at_value
-            x[victims, :] = 0.0
-    return (x[:, 0] if squeeze else x), victims
+    x = sig.copy()
+    victims = draw_victims(sig.shape[0], err.victim_fraction, seed)
+    stick_victims(sig, victims, err.mode, out=x)
+    return x, victims
 
 
 def sddr_db(clean: np.ndarray, distorted: np.ndarray) -> float:

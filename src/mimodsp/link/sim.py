@@ -4,13 +4,9 @@ calibration, fault outage.
 Frame model: one frame is one coherence block.  The channel is drawn
 once, estimated from pilots, the detector is built once per SNR point
 (per-realization cost), and ``coherence_uses`` payload vectors are
-pushed through it.  mr and zf do not read N0: they are built once per
-frame and run, and with no per-point front end (``ignore`` faults, ADC)
-they detect signal and noise once, a point's estimate being
-``C^H G x + sqrt(N0) C^H w``, which differs from ``C^H y`` in the last bits.
-Every user transmits an independent zero-terminated convolutional
-codeword filling the block exactly, or, uncoded, raw bits whose errors
-are counted on the per-axis labels of the hard decisions.
+pushed through it.  Every user transmits an independent zero-terminated
+convolutional codeword filling the block exactly, or, uncoded, raw bits
+whose errors are counted on the per-axis labels of the hard decisions.
 
 Random streams are keyed as ``(seed, frame, purpose)`` so the same
 channels, payloads, and unit-variance noise are reused across SNR
@@ -21,12 +17,18 @@ transmit symbols and unit-variance channel entries per receive antenna.
 A worker task is one frame chunk over every run and the whole grid.  The
 runs share their frames (an outage study's fractions, an fxp_sweep's
 widths).  Each frame's data is built once and serves every run at every
-SNR point (``exclude`` drops a run's faulty antennas once per frame);
-coded rows of all runs and points wait in one queue, tagged with their
-run and point, and are decoded together once ``_DECODE_ROWS`` wait, so
-memory grows with neither frames nor grid.  The whole study, pool
-included, uses one BLAS thread: the workers fill the cores, and float
-sums then do not depend on the host or the split.
+SNR point.  A run's faulty antennas are frame data too, drawn once per
+frame under both policies: ``exclude`` drops their rows once, ``ignore``
+sticks those rows of each point's ``y``, whose RMS sets the stuck level,
+before the ADC.  mr and zf do not read N0: they are built once per frame
+and run, and with no per-point front end (``ignore`` faults, ADC) they
+detect signal and noise once, a point's estimate being
+``C^H G x + sqrt(N0) C^H w``, which differs from ``C^H y`` in the last
+bits.  Coded rows of all runs and points wait in one queue, tagged with
+their run and point, and are decoded together once ``_DECODE_ROWS``
+wait, so memory grows with neither frames nor grid.  The whole study,
+pool included, uses one BLAS thread: the workers fill the cores, and
+float sums then do not depend on the host or the split.
 """
 from __future__ import annotations
 
@@ -44,10 +46,10 @@ import numpy as np
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
 from ..equalization import (DETECTORS, MAX_SERIES_ORDER, N0_FREE_DETECTORS,
                             PRECODERS, build_uplink_detector, precode)
-from ..impairments import (FAULT_MODES, CircuitErrorModel, PaModel,
-                           build_nonreciprocal, calibrate, draw_front_end_set,
-                           draw_victims, evm_db, inject_errors, mui_db,
-                           pa_apply, quantize_adc)
+from ..impairments import (FAULT_MODES, PaModel, build_nonreciprocal,
+                           calibrate, draw_front_end_set, draw_victims,
+                           evm_db, mui_db, pa_apply, quantize_adc,
+                           stick_victims)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
 from .modem import (_ORDERS, Constellation, _axis_labels, _nearest_labels,
@@ -199,6 +201,39 @@ def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
     return g, g_hat, bits, x, w
 
 
+def _estimates(cfg: SimConfig, overlay: Optional[FxpOverlay], frame: int,
+               g_hat: np.ndarray, gx: np.ndarray, w: np.ndarray):
+    """Yield ``(point, noise_var, xhat)`` of one run on one frame: its
+    victims, ADC, detector builds and mr/zf split (see the module doc)."""
+    if cfg.victim_policy in FAULT_POLICIES:
+        victims = draw_victims(cfg.m, cfg.victim_fraction,
+                               stream_rng(cfg.seed, frame, 4))
+    if cfg.victim_policy == "exclude":
+        g_hat, gx, w = (np.delete(a, victims, axis=0) for a in (g_hat, gx, w))
+    stuck = cfg.victim_policy == "ignore"
+    n0_free = cfg.detector.lower() in N0_FREE_DETECTORS
+    split = n0_free and not stuck and cfg.adc_bits is None
+    for point, snr_db in enumerate(cfg.snr_db):
+        noise_var = 10.0 ** (-snr_db / 10.0)
+        if point == 0 or not n0_free:
+            det = build_uplink_detector(
+                g_hat, cfg.detector, noise_var, overlay=overlay,
+                nsa_order=cfg.nsa_order, cd_sweeps=cfg.cd_sweeps,
+                c_const=cfg.c_const)
+        if split:
+            if point == 0:
+                sig, noi = det.detect(gx), det.detect(w)
+            xhat = sig + np.sqrt(noise_var) * noi
+        else:
+            y = gx + np.sqrt(noise_var) * w
+            if stuck:  # the stuck level follows the point's RMS
+                stick_victims(y, victims, cfg.victim_mode)
+            if cfg.adc_bits is not None:
+                y = quantize_adc(y, cfg.adc_bits)
+            xhat = det.detect(y)
+        yield point, noise_var, xhat
+
+
 def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
     """Bit errors per run and SNR point over a frame range, frame-major.
 
@@ -207,49 +242,16 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
     """
     const = Constellation.from_name(cfgs[0].constellation)
     overlays = [c.overlay() for c in cfgs]
-    faults = [CircuitErrorModel(c.victim_fraction, c.victim_mode)
-              if c.victim_policy == "ignore" else None for c in cfgs]
     n_info = cfgs[0].info_bits_per_stream()
     errors = np.zeros((len(cfgs), len(cfgs[0].snr_db)), dtype=np.int64)
     queue = []      # (run, point, llr rows, info bits), k rows each
-    last_run, last = len(cfgs) - 1, len(cfgs[0].snr_db) - 1
     for frame in frames:
         g, g_hat, bits, x, w = _frame_data(cfgs[0], frame, const)
         gx = g @ x
         tx_labels = None if cfgs[0].coded else _axis_labels(bits, const)
-        for run, cfg in enumerate(cfgs):
-            # later runs read the frame's own arrays; the last run takes
-            # them, so none outlives the last run and point that read it
-            shared = (g_hat, gx, w) if run < last_run else None
-            if cfg.victim_policy == "exclude":
-                victims = draw_victims(cfg.m, cfg.victim_fraction,
-                                       stream_rng(cfg.seed, frame, 4))
-                g_hat, gx, w = (np.delete(a, victims, axis=0)
-                                for a in (g_hat, gx, w))
-            n0_free = cfg.detector.lower() in N0_FREE_DETECTORS
-            # with no per-point front end, C^H y = C^H gx + sqrt(N0) C^H w
-            split = n0_free and faults[run] is None and cfg.adc_bits is None
-            for point, snr_db in enumerate(cfg.snr_db):
-                noise_var = 10.0 ** (-snr_db / 10.0)
-                if not split:
-                    y = gx + np.sqrt(noise_var) * w
-                    if point == last:
-                        del gx  # no later point reads it: free it
-                    if faults[run] is not None:  # stuck level follows the RMS
-                        y, _ = inject_errors(y, faults[run],
-                                             stream_rng(cfg.seed, frame, 4))
-                    if cfg.adc_bits is not None:
-                        y = quantize_adc(y, cfg.adc_bits)
-                if point == 0 or not n0_free:
-                    det = build_uplink_detector(
-                        g_hat, cfg.detector, noise_var, overlay=overlays[run],
-                        nsa_order=cfg.nsa_order, cd_sweeps=cfg.cd_sweeps,
-                        c_const=cfg.c_const)
-                if split and point == 0:
-                    sig, noi = det.detect(gx), det.detect(w)
-                    del gx, w  # every point reads sig and noi instead
-                xhat = (sig + np.sqrt(noise_var) * noi if split
-                        else det.detect(y))
+        for run, (cfg, overlay) in enumerate(zip(cfgs, overlays)):
+            for point, noise_var, xhat in _estimates(cfg, overlay, frame,
+                                                     g_hat, gx, w):
                 if cfg.coded:
                     queue.append((run, point,
                                   demap_soft(xhat, const, noise_var), bits))
@@ -259,8 +261,6 @@ def _simulate_frames(cfgs: Sequence[SimConfig], frames: Sequence[int]) -> list:
                     diff = _nearest_labels(xhat, const) ^ tx_labels
                     errors[run, point] += sum(np.count_nonzero(diff & (1 << b))
                                               for b in range(const.axis_bits))
-            if shared is not None:
-                g_hat, gx, w = shared
     if queue:
         _decode_queue(queue, n_info, errors)
     return errors.tolist()

@@ -245,28 +245,25 @@ def qrd(z: np.ndarray, mode: str = "exact", c_const: float = 1.0,
     k = z.shape[0]
     if z.shape != (k, k):
         raise ValueError("qrd expects a square matrix")
-    r = z.astype(complex).copy()
-    t = np.eye(k, dtype=complex)
+    rt = np.hstack([z.astype(complex), np.eye(k, dtype=complex)])  # [R | T]
     for col in range(k - 1):
         for row in range(col + 1, k):
-            b = r[row, col]
+            b = rt[row, col]
             if b == 0:
                 continue
-            a = r[col, col]
+            a = rt[col, col]
             if mode == "exact" or abs(a) < 2.0 * abs(b):
                 rot = givens_exact(a, b)
             else:
                 rot = givens_modified(a, b, c_const)
-            r[col, :], r[row, :] = rot.apply(r[col, :], r[row, :])
-            t[col, :], t[row, :] = rot.apply(t[col, :], t[row, :])
+            rt[col], rt[row] = rot.apply(rt[col], rt[row])
             # the annihilated slot is declared zero; anything left there is
             # rotation error and lands in reconstruction_error instead
-            r[row, col] = 0.0
-            r[col, :] = quantize(r[col, :])
-            r[row, :] = quantize(r[row, :])
-            t[col, :] = quantize(t[col, :])
-            t[row, :] = quantize(t[row, :])
-    q = np.conj(t.T)
+            rt[row, col] = 0.0
+            rt[col] = quantize(rt[col])
+            rt[row] = quantize(rt[row])
+    r = rt[:, :k].copy()
+    q = np.conj(rt[:, k:].T)
     err = float(np.linalg.norm(q @ r - z) / max(np.linalg.norm(z), np.finfo(float).tiny))
     return QrdResult(q=q, r=r, reconstruction_error=err)
 

@@ -369,6 +369,16 @@ class TestValidationFailures:
                 == "validation error: workers: must be at least 1\n")
         assert not out.exists()
 
+    # an amplifier whose alpha3 computes to zero has no compression point;
+    # from_compression_point divides by it, so validation itself raises
+    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                       reason="ROADMAP item 10: from_compression_point "
+                              "divides by a zero alpha3")
+    @pytest.mark.parametrize("pa", [{"alpha1": 0.0}, {"alpha1": 5e-324},
+                                    {"a_1db": 1e-200}])
+    def test_amplifier_without_compression(self, tmp_path, capsys, pa):
+        self._expect_failure(tmp_path, capsys, dict(_TINY_EVM, pa=pa), "pa:")
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "--config", "/no/such/file.yaml"]) == 1
         assert "config:" in capsys.readouterr().err

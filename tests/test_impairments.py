@@ -3,12 +3,13 @@ import pytest
 
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
 from mimodsp.equalization import precode
-from mimodsp.impairments import (EVM_FLOOR_DB, MUI_FLOOR_DB, SDDR_CEILING_DB,
-                                 CircuitErrorModel, FrontEndSet, PaModel,
-                                 build_nonreciprocal, calibrate,
-                                 draw_front_end_set, draw_victims, evm_db,
-                                 inject_errors, mui_db, pa_apply,
-                                 per_antenna_sddr_db, quantize_adc, sddr_db)
+from mimodsp.impairments import (EVM_FLOOR_DB, FAULT_MODES, MUI_FLOOR_DB,
+                                 SDDR_CEILING_DB, CircuitErrorModel,
+                                 FrontEndSet, PaModel, build_nonreciprocal,
+                                 calibrate, draw_front_end_set, draw_victims,
+                                 evm_db, inject_errors, mui_db, pa_apply,
+                                 per_antenna_sddr_db, quantize_adc, sddr_db,
+                                 stick_victims)
 
 
 class TestPaModel:
@@ -217,6 +218,21 @@ class TestCircuitErrors:
         out, victims = inject_errors(y, err, rng)
         assert victims.size == 2
         assert np.array_equal(out[victims], np.zeros((2, 3), complex))
+
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    @pytest.mark.parametrize("shape", [(12,), (12, 5)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stick_in_place_equals_inject(self, mode, shape, order):
+        # one stuck level: inject_errors is stick_victims on a copy
+        y = np.asarray(stream_rng(3).standard_normal(shape) + 2j,
+                       order=order)
+        out, victims = inject_errors(y, CircuitErrorModel(0.25, mode),
+                                     stream_rng(4))
+        stuck = y.copy(order="K")
+        stick_victims(stuck, victims, mode)
+        assert victims.size == 3
+        assert np.array_equal(stuck, out)
+        assert out.dtype == complex and not np.array_equal(out, y)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

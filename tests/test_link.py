@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from scipy.special import comb
 
-from mimodsp import (PaModel, SimConfig, run_calibration_study,
+from mimodsp import (PaModel, SimConfig, impairments, run_calibration_study,
                      run_downlink_evm, run_outage_study, run_uplink_ber,
                      snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
 from mimodsp.equalization import (N0_FREE_DETECTORS, UplinkDetector,
                                   build_uplink_detector)
-from mimodsp.impairments import FAULT_MODES, draw_victims, inject_errors
+from mimodsp.impairments import (FAULT_MODES, CircuitErrorModel,
+                                 draw_victims, inject_errors, quantize_adc)
 from mimodsp.link import sim, viterbi_decode
 from mimodsp.link.modem import Constellation, demap_hard, demap_soft
 from mimodsp.link.sim import (FAULT_POLICIES, BerPoint, BerResult,
@@ -397,32 +398,60 @@ class TestUplinkBerMechanics:
         assert sum(batches) == cfg.frames * len(cfg.snr_db) * cfg.k
 
     def test_faults_are_drawn_once_per_frame(self, monkeypatch):
-        # exclude drops the victim rows once per frame; ignore injects at
-        # every point, as its stuck level follows the point's RMS
-        draws, injections = [], []
+        # both policies draw each frame's victims once, from its stream 4:
+        # exclude drops their rows, ignore sticks them at every point
+        # without inject_errors, which would draw the set again
+        draws = []
 
         def counting_draw(*args):
-            draws.append(args)
-            return draw_victims(*args)
+            draws.append((args[:2], draw_victims(*args)))
+            return draws[-1][1]
 
         def no_inject(*args):
-            raise AssertionError("faults injected under exclude")
-
-        def counting_inject(*args):
-            injections.append(args)
-            return inject_errors(*args)
+            raise AssertionError("inject_errors called")
 
         monkeypatch.setattr(sim, "draw_victims", counting_draw)
-        monkeypatch.setattr(sim, "inject_errors", no_inject)
+        monkeypatch.setattr(impairments, "inject_errors", no_inject)
+        monkeypatch.setattr(sim, "inject_errors", no_inject, raising=False)
         cfg = SimConfig(m=8, k=2, snr_db=(-4.0, 0.0, 4.0), coded=False,
                         coherence_uses=16, frames=4, victim_fraction=0.25,
-                        victim_policy="exclude", seed=5)
-        run_uplink_ber(cfg)
-        assert len(draws) == 4
-        monkeypatch.setattr(sim, "inject_errors", counting_inject)
-        run_uplink_ber(replace(cfg, victim_policy="ignore"))
-        assert len(draws) == 4
-        assert len(injections) == 4 * 3
+                        seed=5)
+        for policy in FAULT_POLICIES:
+            draws.clear()
+            run_uplink_ber(replace(cfg, victim_policy=policy))
+            assert len(draws) == 4
+            for frame, (args, victims) in enumerate(draws):
+                assert args == (8, 0.25)
+                np.testing.assert_array_equal(
+                    victims, draw_victims(8, 0.25, stream_rng(5, frame, 4)))
+
+    @pytest.mark.parametrize("adc_bits", [None, 4])
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    @pytest.mark.parametrize("detector", ["zf", "chd"])
+    def test_ignore_counts_equal_inject_errors(self, detector, mode,
+                                               adc_bits):
+        # sticking the frame's victims in place counts what a fresh
+        # inject_errors at every point counts
+        cfg = SimConfig(m=8, k=2, snr_db=(-4.0, 4.0, 12.0), detector=detector,
+                        coded=False, coherence_uses=32, frames=3,
+                        victim_fraction=0.25, victim_mode=mode,
+                        victim_policy="ignore", adc_bits=adc_bits, seed=9)
+        const = Constellation.from_name(cfg.constellation)
+        faults = CircuitErrorModel(cfg.victim_fraction, mode)
+        expected = [0] * len(cfg.snr_db)
+        for frame in range(cfg.frames):
+            g, g_hat, bits, x, w = sim._frame_data(cfg, frame, const)
+            for i, snr_db in enumerate(cfg.snr_db):
+                noise_var = 10.0 ** (-snr_db / 10.0)
+                y, _ = inject_errors(g @ x + np.sqrt(noise_var) * w, faults,
+                                     stream_rng(cfg.seed, frame, 4))
+                if adc_bits is not None:
+                    y = quantize_adc(y, adc_bits)
+                det = build_uplink_detector(g_hat, detector, noise_var)
+                expected[i] += int(np.count_nonzero(
+                    demap_hard(det.detect(y), const) != bits))
+        assert sum(expected) > 0
+        assert [p.n_errors for p in run_uplink_ber(cfg).points] == expected
 
     def test_coding_gain(self):
         base = dict(m=16, k=4, snr_db=(-7.0,), coherence_uses=512,
