@@ -6,25 +6,20 @@ a coded link-level simulator, tied together by the ``mimodsp`` CLI.
 """
 from . import (channel, complexity, decentral, equalization, impairments,
                link, numerics)
-from .channel import (diag_dominance, draw_iid_rayleigh, draw_los_ula,
-                      estimate_ls, gram, hardening_variance, rx_power,
-                      stream_rng)
-from .complexity import (AlgoCost, adc_power, adder_area, dac_fom,
-                         dynamic_power, exact_inverse_cost, filter_area,
-                         multiplier_area, table2_cost)
+from .channel import (draw_iid_rayleigh, estimate_ls, gram,
+                      hardening_variance, stream_rng)
+from .complexity import AlgoCost, exact_inverse_cost, table2_cost
 from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
-                        aggregate_mf, centralized_link_load, group_link_load,
-                        interconnect_rate, local_gram, local_mf, partition,
-                        split_rows)
+                        aggregate_mf, interconnect_rate, local_gram, local_mf,
+                        partition, split_rows)
 from .equalization import (NsaDivergenceWarning, UplinkDetector,
                            build_uplink_detector, combiner_exact,
-                           fit_wnsa_weights, nsa_inverse, post_combining_sinr,
-                           precode, wnsa_inverse)
+                           fit_wnsa_weights, nsa_inverse, precode,
+                           wnsa_inverse)
 from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           build_nonreciprocal, calibrate, draw_front_end_set,
                           draw_victims, evm_db, inject_errors, mui_db,
-                          pa_apply, per_antenna_sddr_db, quantize_adc,
-                          sddr_db)
+                          pa_apply, quantize_adc)
 from .link import (BerResult, Constellation, SimConfig, conv_encode, demap_hard,
                    demap_soft, map_bits, run_calibration_study,
                    run_downlink_evm, run_outage_study, run_uplink_ber,

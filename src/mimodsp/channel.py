@@ -1,4 +1,5 @@
-"""Channel generation, pilot-based estimation, and Gram utilities."""
+"""I.i.d. Rayleigh channels, pilot-based estimation, the Gram matrix and
+channel hardening."""
 from __future__ import annotations
 
 from typing import Union
@@ -9,12 +10,9 @@ __all__ = [
     "stream_rng",
     "as_rng",
     "draw_iid_rayleigh",
-    "draw_los_ula",
     "estimate_ls",
     "gram",
-    "diag_dominance",
     "hardening_variance",
-    "rx_power",
 ]
 
 RngLike = Union[int, np.random.Generator]
@@ -43,21 +41,6 @@ def draw_iid_rayleigh(m: int, k: int, rng: RngLike) -> np.ndarray:
     return (r.standard_normal((m, k)) + 1j * r.standard_normal((m, k))) / np.sqrt(2.0)
 
 
-def draw_los_ula(m: int, k: int, angles_rad: np.ndarray,
-                 spacing: float = 0.5) -> np.ndarray:
-    """Line-of-sight columns for a uniform linear array.
-
-    Column k is ``exp(j * 2 pi * spacing * m_idx * sin(angle_k))`` over
-    antenna index ``m_idx``; ``spacing`` is in carrier wavelengths and
-    ``angles_rad`` holds one departure angle per user.
-    """
-    angles = np.atleast_1d(np.asarray(angles_rad, dtype=float))
-    if angles.shape != (k,):
-        raise ValueError(f"expected {k} angles, got {angles.shape}")
-    idx = np.arange(m)[:, None]
-    return np.exp(2j * np.pi * spacing * idx * np.sin(angles)[None, :])
-
-
 def estimate_ls(g: np.ndarray, pilot_snr_db: float, rng: RngLike) -> np.ndarray:
     """Least-squares channel estimate from one block of unitary pilots.
 
@@ -84,21 +67,6 @@ def gram(g: np.ndarray) -> np.ndarray:
     return np.conj(g.T) @ g
 
 
-def diag_dominance(z: np.ndarray) -> float:
-    """Largest off-diagonal magnitude over the smallest diagonal magnitude.
-
-    Small values mean the Gram is close to a scaled identity, which is the
-    regime the approximate solvers rely on; the ratio shrinks like
-    ``1 / sqrt(M)`` for independent Rayleigh columns.
-    """
-    z = np.asarray(z)
-    k = z.shape[0]
-    if k == 1:
-        return 0.0
-    off = np.abs(z - np.diag(np.diag(z)))
-    return float(off.max() / np.abs(np.diag(z)).min())
-
-
 def hardening_variance(m: int, trials: int, rng: RngLike) -> float:
     """Sample variance of ``||g||^2 / m`` over single-user channel draws.
 
@@ -112,9 +80,3 @@ def hardening_variance(m: int, trials: int, rng: RngLike) -> float:
         vals[t] = float(np.sum(np.abs(g) ** 2)) / m
     return float(np.var(vals))
 
-
-def rx_power(p_tx: float, g_tx: float, g_rx: float, d: float, exponent: float) -> float:
-    """Received power under log-distance path loss: ``g_tx g_rx d^-n p_tx``."""
-    if d <= 0:
-        raise ValueError("distance must be positive")
-    return float(g_tx * g_rx * d ** (-exponent) * p_tx)

@@ -23,14 +23,12 @@ __all__ = [
     "aggregate_mf",
     "InterconnectConfig",
     "interconnect_rate",
-    "group_link_load",
-    "centralized_link_load",
 ]
 
 
 @dataclass(frozen=True)
 class GroupPartition:
-    """Contiguous assignment of ``m`` antennas to ``b`` equal groups."""
+    """Contiguous split of ``m`` antennas into ``b`` equal groups."""
 
     m: int
     b: int
@@ -44,10 +42,6 @@ class GroupPartition:
     @property
     def c(self) -> int:
         return self.m // self.b
-
-    @property
-    def assignment(self) -> np.ndarray:
-        return np.repeat(np.arange(self.b), self.c)
 
     def rows(self, group: int) -> slice:
         if not 0 <= group < self.b:
@@ -124,33 +118,3 @@ def interconnect_rate(cfg: InterconnectConfig) -> Tuple[float, float]:
     r_ofdm = cfg.r_samp * cfg.n_data / (cfg.n_sub + cfg.n_cp)
     return r_ofdm, cfg.m * r_ofdm * cfg.w_bits
 
-
-def group_link_load(part: GroupPartition, k: int, w_bits: int, per: str,
-                    triangular: bool = False) -> int:
-    """Bits moved group-to-central for one aggregation.
-
-    Per realization each group ships its K x K partial Gram (or its lower
-    triangle when ``triangular``, exploiting Hermitian symmetry); per use
-    it ships one K-vector of matched-filter partials.
-    """
-    if k < 1 or w_bits < 1:
-        raise ValueError("k and w_bits must be positive")
-    if per == "realization":
-        entries = k * (k + 1) // 2 if triangular else k * k
-        return part.b * entries * w_bits
-    if per == "use":
-        return part.b * k * w_bits
-    raise ValueError(f"unknown accounting unit {per!r}")
-
-
-def centralized_link_load(m: int, k: int, w_bits: int, per: str) -> int:
-    """Bits moved when raw per-antenna data is forwarded instead.
-
-    Per realization the central node needs all M estimated channel rows
-    (M K words); per use it needs all M antenna samples.
-    """
-    if per == "realization":
-        return m * k * w_bits
-    if per == "use":
-        return m * w_bits
-    raise ValueError(f"unknown accounting unit {per!r}")

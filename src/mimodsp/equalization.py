@@ -9,10 +9,10 @@ through :class:`~mimodsp.numerics.FxpOverlay` hooks so the same code
 serves word-length studies.
 
 Normalization conventions: detectors are unit-gain per user
-(``a_k^H g_k = 1``); precoders are scaled to a total transmit power under
-unit-power symbols.  The MMSE regularizer is the noise variance ``N0`` for
-unit-power symbols; the textbook "+ I" form corresponds to ``N0 = 1``,
-i.e. a pre-whitened receive path.
+(``a_k^H g_k = 1``); precoders are scaled to unit total transmit power
+under unit-power symbols.  The MMSE regularizer is the noise variance
+``N0`` for unit-power symbols; the textbook "+ I" form corresponds to
+``N0 = 1``, i.e. a pre-whitened receive path.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ __all__ = [
     "combiner_exact",
     "PRECODERS",
     "precode",
-    "post_combining_sinr",
     "nsa_inverse",
     "wnsa_inverse",
     "fit_wnsa_weights",
@@ -111,29 +110,18 @@ def combiner_exact(g_hat: np.ndarray, method: str,
 PRECODERS = {"mr": None, "zf": 0.0}     # name -> nu; None gives MR columns
 
 
-def precode(g_hat: np.ndarray, method: str,
-            total_power: float = 1.0) -> np.ndarray:
-    """(M, K) MR or ZF transmit precoder under a sum-power constraint.
+def precode(g_hat: np.ndarray, method: str) -> np.ndarray:
+    """(M, K) MR or ZF transmit precoder under a unit sum-power constraint.
 
     Columns, conjugates of the combiner's, are first normalized to unit
     downlink gain (``g_k^T a_k = 1``), then scaled by a common factor so
-    that ``E||A x||^2 = total_power`` for unit-power symbols.  With equal
-    per-user gains this radiates equal received signal strength to every
-    user.
+    that ``E||A x||^2 = 1`` for unit-power symbols.  With equal per-user
+    gains this radiates equal received signal strength to every user.
     """
     a, gains = _channel_inverse(g_hat, method, PRECODERS, "precoder")
     unit = np.conj(a) / gains[None, :]
-    return unit * (np.sqrt(total_power) / np.linalg.norm(unit))
-
-
-def post_combining_sinr(a: np.ndarray, g: np.ndarray,
-                        noise_var: float) -> np.ndarray:
-    """Per-user SINR of an (M, K) combiner ``a`` against the true channel."""
-    cross = np.conj(a.T) @ g     # (K, K): row k = user k's gains
-    sig = np.abs(np.diag(cross)) ** 2
-    interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
-    noise = noise_var * np.sum(np.abs(a) ** 2, axis=0)
-    return sig / (interf + noise)
+    # times the reciprocal, not a division: the recorded results' rounding
+    return unit * (1.0 / np.linalg.norm(unit))
 
 
 # ---------------------------------------------------------------------------

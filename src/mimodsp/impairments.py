@@ -1,9 +1,10 @@
 """Hardware non-ideality models for the analog and digital front end.
 
-Covers the saturating cubic power amplifier, uniform and one-bit data
-converters, non-reciprocal transmit/receive chains with genie-aided
-calibration, and digital circuit-error injection with the associated
-quality metrics (EVM, SDDR, multi-user interference power).
+Covers the cubic power amplifier with hard saturation, uniform and
+one-bit data converters, non-reciprocal transmit/receive chains with
+genie-aided calibration, and stuck per-antenna processing elements, with
+the quality metrics the experiments report (EVM and multi-user
+interference power).
 """
 from __future__ import annotations
 
@@ -28,18 +29,12 @@ __all__ = [
     "draw_victims",
     "stick_victims",
     "inject_errors",
-    "sddr_db",
-    "per_antenna_sddr_db",
     "mui_db",
     "EVM_FLOOR_DB",
-    "SDDR_CEILING_DB",
-    "SDDR_FLOOR_DB",
     "MUI_FLOOR_DB",
 ]
 
 EVM_FLOOR_DB = -100.0
-SDDR_CEILING_DB = 300.0
-SDDR_FLOOR_DB = -300.0
 MUI_FLOOR_DB = -300.0
 
 
@@ -75,13 +70,21 @@ class PaModel:
         which fixes ``alpha3 = (10**(-1/20) - 1) alpha1 / a_1db**2``
         (about ``-0.1087 alpha1`` for unit ``a_1db``).  Input saturation
         defaults to the amplitude where the cubic's gain slope hits zero
-        and output saturation to the cubic's value there.
+        and output saturation to the cubic's value there.  Raises
+        ``ValueError`` where float arithmetic leaves nothing to pin:
+        ``alpha3`` comes out zero (``alpha1`` zero or subnormal, ``a_1db``
+        infinite), or a square or cube leaves the float range (``a_1db``
+        tiny or huge).
         """
         if a_1db <= 0:
             raise ValueError("compression amplitude must be positive")
-        alpha3 = (10.0 ** (-1.0 / 20.0) - 1.0) * alpha1 / a_1db ** 2
-        a_in = float(np.sqrt(abs(alpha1) / (3.0 * abs(alpha3))))
-        a_out = float(abs(alpha1 * a_in + alpha3 * a_in ** 3))
+        try:
+            alpha3 = (10.0 ** (-1.0 / 20.0) - 1.0) * alpha1 / a_1db ** 2
+            a_in = float(np.sqrt(abs(alpha1) / (3.0 * abs(alpha3))))
+            a_out = float(abs(alpha1 * a_in + alpha3 * a_in ** 3))
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(f"no compression point in float range for "
+                             f"a_1db={a_1db!r}, alpha1={alpha1!r}") from None
         return cls(alpha1=alpha1, alpha3=alpha3, a_in_sat=a_in, a_out_sat=a_out)
 
 
@@ -129,15 +132,14 @@ def evm_db(reference: np.ndarray, received: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def quantize_adc(y: np.ndarray, bits: int,
-                 agc_scale: Optional[float] = None) -> np.ndarray:
+def quantize_adc(y: np.ndarray, bits: int) -> np.ndarray:
     """Per-axis uniform quantization of a complex signal.
 
     ``bits = 1`` keeps only the signs, scaled to a fixed level of
     ``1/sqrt(2)`` per axis (unit output power); no gain control is needed
-    or used.  For ``bits > 1`` a mid-rise quantizer spans ``+-agc_scale``
-    per axis, clipping outside; the default scale is three times the
-    per-axis RMS, which clips roughly 0.3% of Gaussian samples.
+    or used.  For ``bits > 1`` a mid-rise quantizer spans three times the
+    per-axis RMS on each axis and clips outside it, roughly 0.3% of
+    Gaussian samples.
     """
     if bits < 1:
         raise ValueError("need at least one bit")
@@ -147,13 +149,12 @@ def quantize_adc(y: np.ndarray, bits: int,
         re = np.where(y.real >= 0, level, -level)
         im = np.where(y.imag >= 0, level, -level)
         return re + 1j * im
-    if agc_scale is None:
-        axis_rms = np.sqrt(np.mean(y.real ** 2 + y.imag ** 2) / 2.0)
-        agc_scale = 3.0 * float(axis_rms)
-    if agc_scale <= 0:
-        raise ValueError("agc_scale must be positive")
+    axis_rms = np.sqrt(np.mean(y.real ** 2 + y.imag ** 2) / 2.0)
+    full_scale = 3.0 * float(axis_rms)
+    if full_scale <= 0:   # an all-zero input
+        raise ValueError("input has no power to scale the quantizer to")
     half = 2 ** (bits - 1)
-    step = agc_scale / half
+    step = full_scale / half
 
     def axis(u):
         idx = np.clip(np.floor(u / step), -half, half - 1)
@@ -307,17 +308,15 @@ def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
     return np.sort(r.choice(m, size=count, replace=False))
 
 
-def stick_victims(y: np.ndarray, victims: np.ndarray, mode: str,
-                  out: Optional[np.ndarray] = None) -> None:
-    """Pin every sample of the ``victims`` rows of ``out`` (default ``y``)
-    in place: ``stuck_at_max`` to three times the RMS of ``y`` at 45
-    degrees, ``stuck_at_value`` to zero."""
-    out = y if out is None else out
+def stick_victims(y: np.ndarray, victims: np.ndarray, mode: str) -> None:
+    """Pin every sample of the ``victims`` rows of ``y`` in place:
+    ``stuck_at_max`` to three times the RMS of ``y`` at 45 degrees,
+    ``stuck_at_value`` to zero."""
     if victims.size and mode == "stuck_at_max":
         fs = 3.0 * float(np.sqrt(np.mean(np.abs(y) ** 2))) or 1.0
-        out[victims] = fs * (1.0 + 1j) / np.sqrt(2.0)
+        y[victims] = fs * (1.0 + 1j) / np.sqrt(2.0)
     elif victims.size:  # stuck_at_value
-        out[victims] = 0.0
+        y[victims] = 0.0
 
 
 def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
@@ -327,37 +326,8 @@ def inject_errors(signal: np.ndarray, err: CircuitErrorModel,
     ``signal`` is (M,) or (M, N); the victim set is drawn once from
     ``seed`` and every sample of a victim antenna is affected.
     """
-    sig = np.asarray(signal, dtype=complex)
-    x = sig.copy()
-    victims = draw_victims(sig.shape[0], err.victim_fraction, seed)
-    stick_victims(sig, victims, err.mode, out=x)
+    x = np.array(signal, dtype=complex)   # a copy in the input's layout
+    victims = draw_victims(x.shape[0], err.victim_fraction, seed)
+    stick_victims(x, victims, err.mode)
     return x, victims
 
-
-def sddr_db(clean: np.ndarray, distorted: np.ndarray) -> float:
-    """Signal power over the power of (distorted - clean), in dB.
-
-    A distortion too small to measure reports ``SDDR_CEILING_DB``.
-    """
-    c = np.asarray(clean, dtype=complex).ravel()
-    d = np.asarray(distorted, dtype=complex).ravel()
-    if c.size == 0 or c.size != d.size:
-        raise ValueError("need equal-length nonempty vectors")
-    p_sig = float(np.mean(np.abs(c) ** 2))
-    p_dist = float(np.mean(np.abs(d - c) ** 2))
-    if p_dist <= p_sig * 10.0 ** (-SDDR_CEILING_DB / 10.0):
-        return SDDR_CEILING_DB
-    return float(10.0 * np.log10(p_sig / p_dist))
-
-
-def per_antenna_sddr_db(clean: np.ndarray,
-                        distorted: np.ndarray) -> np.ndarray:
-    """Row-wise SDDR of an (M, N) block, floored at ``SDDR_FLOOR_DB``."""
-    c = np.atleast_2d(np.asarray(clean, dtype=complex))
-    d = np.atleast_2d(np.asarray(distorted, dtype=complex))
-    if c.shape != d.shape:
-        raise ValueError("shape mismatch")
-    out = np.empty(c.shape[0])
-    for i in range(c.shape[0]):
-        out[i] = sddr_db(c[i], d[i])
-    return np.maximum(out, SDDR_FLOOR_DB)

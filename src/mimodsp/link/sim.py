@@ -181,9 +181,6 @@ class BerResult:
     config: SimConfig
     points: Tuple[BerPoint, ...]
 
-    def min_detectable_ber(self) -> float:
-        return 0.5 / self.points[0].n_bits
-
 
 def _frame_data(cfg: SimConfig, frame: int, const: Constellation):
     """Channel, estimate, payload, and unit-variance noise for one frame."""
@@ -409,7 +406,7 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
             bits = rng_bits.integers(0, 2,
                                      size=(k, uses * const.bits_per_symbol))
             x = map_bits(bits, const)
-            s = precode(g, precoder, total_power=1.0) @ x
+            s = precode(g, precoder) @ x
             target = (_pa_drive_amplitude(pa) * 10.0 ** (-backoff_db / 20.0)
                       * np.sqrt(m_ref / m))
             rms = np.sqrt(np.mean(np.abs(s) ** 2))

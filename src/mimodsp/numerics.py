@@ -59,17 +59,16 @@ class ZeroDiagonalError(ValueError):
 
 @dataclass(frozen=True)
 class FixedPointFormat:
-    """Signed two's-complement format with ``fraction_bits`` of resolution.
+    """Signed fixed-point format with ``fraction_bits`` of resolution.
 
-    ``total_bits`` counts the sign bit.  Rounding is half-to-even.  With
-    ``saturating`` the representable range is symmetric,
-    ``+-(2**(total_bits - 1 - fraction_bits) - 2**-fraction_bits)``;
-    without it, values wrap as two's-complement integers do.
+    ``total_bits`` counts the sign bit.  Rounding is half-to-even, and
+    values outside the symmetric range
+    ``+-(2**(total_bits - 1 - fraction_bits) - 2**-fraction_bits)``
+    saturate.
     """
 
     total_bits: int
     fraction_bits: int
-    saturating: bool = True
 
     def __post_init__(self):
         if self.total_bits <= self.fraction_bits:
@@ -85,13 +84,9 @@ class FixedPointFormat:
     def max_value(self) -> float:
         return (2 ** (self.total_bits - 1) - 1) * self.step
 
-    @property
-    def min_value(self) -> float:
-        return -self.max_value if self.saturating else -(2 ** (self.total_bits - 1)) * self.step
-
     @classmethod
     def for_unit_range(cls, fraction_bits: int) -> "FixedPointFormat":
-        """Saturating format for values normalized to O(1): sign + 3 + fraction."""
+        """Format for values normalized to O(1): sign + 3 + fraction."""
         return cls(4 + fraction_bits, fraction_bits)
 
 
@@ -99,12 +94,8 @@ def _quantize_real(v: np.ndarray, fmt: FixedPointFormat) -> None:
     """Round the float64 array ``v`` onto the grid of ``fmt``, in place."""
     v *= 2.0 ** fmt.fraction_bits
     np.rint(v, out=v)
-    lim = 2 ** (fmt.total_bits - 1)
-    if fmt.saturating:
-        np.clip(v, -(lim - 1), lim - 1, out=v)
-    else:
-        np.mod(np.add(v, lim, out=v), 2 * lim, out=v)
-        v -= lim
+    lim = 2 ** (fmt.total_bits - 1) - 1
+    np.clip(v, -lim, lim, out=v)
     v *= fmt.step
 
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mimodsp.channel import (diag_dominance, draw_iid_rayleigh, draw_los_ula,
-                             estimate_ls, gram, hardening_variance, rx_power,
-                             stream_rng)
+from mimodsp.channel import (draw_iid_rayleigh, estimate_ls, gram,
+                             hardening_variance, stream_rng)
 
 
 class TestStreamRng:
@@ -42,23 +41,6 @@ class TestRayleigh:
         assert abs(np.mean(g.real * g.imag)) < 0.01
 
 
-class TestLosUla:
-    def test_unit_modulus_and_phase_law(self):
-        angles = np.array([0.0, np.pi / 6])
-        g = draw_los_ula(8, 2, angles, spacing=0.5)
-        assert g.shape == (8, 2)
-        assert np.allclose(np.abs(g), 1.0)
-        # boresight user: constant phase across the array
-        assert np.allclose(g[:, 0], 1.0)
-        # second user: linear phase with slope 2 pi d sin(angle)
-        expected = np.exp(2j * np.pi * 0.5 * np.arange(8) * np.sin(np.pi / 6))
-        assert np.allclose(g[:, 1], expected)
-
-    def test_angle_count_checked(self):
-        with pytest.raises(ValueError):
-            draw_los_ula(8, 3, np.array([0.1, 0.2]))
-
-
 class TestEstimateLs:
     def test_perfect_pilots_return_copy(self, rng):
         g = draw_iid_rayleigh(8, 3, rng)
@@ -95,42 +77,8 @@ class TestGram:
         assert np.allclose(gram(g), np.conj(g.T) @ g)
 
 
-class TestDiagDominance:
-    def test_single_user_is_zero(self, rng):
-        z = gram(draw_iid_rayleigh(16, 1, rng))
-        assert diag_dominance(z) == 0.0
-
-    def test_orthogonal_columns(self):
-        z = np.diag([2.0, 3.0]).astype(complex)
-        assert diag_dominance(z) == 0.0
-
-    def test_known_value(self):
-        z = np.array([[4.0, 1.0], [1.0, 2.0]], dtype=complex)
-        assert diag_dominance(z) == pytest.approx(0.5)
-
-    def test_shrinks_with_antennas(self, master_seed):
-        small = np.median([diag_dominance(gram(draw_iid_rayleigh(
-            16, 8, stream_rng(master_seed, 0, t)))) for t in range(20)])
-        large = np.median([diag_dominance(gram(draw_iid_rayleigh(
-            256, 8, stream_rng(master_seed, 1, t)))) for t in range(20)])
-        assert large < small
-
-
 class TestHardening:
     def test_variance_scales_inverse_m(self, master_seed):
         for m in (10, 100):
             var = hardening_variance(m, 4000, stream_rng(master_seed, m))
             assert var == pytest.approx(1.0 / m, rel=0.15)
-
-
-class TestRxPower:
-    def test_formula(self):
-        assert rx_power(2.0, 3.0, 5.0, 10.0, 2.0) == pytest.approx(
-            2.0 * 3.0 * 5.0 / 100.0)
-
-    def test_exponent_one_is_inverse_distance(self):
-        assert rx_power(1.0, 1.0, 1.0, 4.0, 1.0) == pytest.approx(0.25)
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            rx_power(1.0, 1.0, 1.0, 0.0, 2.0)

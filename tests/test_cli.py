@@ -371,11 +371,10 @@ class TestValidationFailures:
 
     # an amplifier whose alpha3 computes to zero has no compression point;
     # from_compression_point divides by it, so validation itself raises
-    @pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                       reason="ROADMAP item 10: from_compression_point "
-                              "divides by a zero alpha3")
     @pytest.mark.parametrize("pa", [{"alpha1": 0.0}, {"alpha1": 5e-324},
-                                    {"a_1db": 1e-200}])
+                                    {"a_1db": 1e-200},
+                                    {"a_1db": float("inf")},
+                                    {"a_1db": 1e200}])
     def test_amplifier_without_compression(self, tmp_path, capsys, pa):
         self._expect_failure(tmp_path, capsys, dict(_TINY_EVM, pa=pa), "pa:")
 

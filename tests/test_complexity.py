@@ -1,12 +1,10 @@
-"""Real-multiplication counts and hardware area/power models."""
+"""Real-multiplication counts of the detection back ends."""
 import math
 
 import numpy as np
 import pytest
 
-from mimodsp import (AlgoCost, adc_power, adder_area, dac_fom, dynamic_power,
-                     exact_inverse_cost, filter_area, multiplier_area,
-                     table2_cost)
+from mimodsp import AlgoCost, exact_inverse_cost, table2_cost
 from mimodsp.complexity import ALGORITHMS
 
 
@@ -125,51 +123,3 @@ class TestExactInverseCost:
     def test_rejects_bad_dimensions(self):
         with pytest.raises(ValueError):
             exact_inverse_cost(4, 8)
-
-
-class TestAreaModels:
-    def test_adder_area(self):
-        assert adder_area(1) == 0.0
-        assert adder_area(2) == pytest.approx(2.0)
-        assert adder_area(8) == pytest.approx(24.0)
-        with pytest.raises(ValueError):
-            adder_area(0)
-
-    def test_multiplier_area(self):
-        assert multiplier_area(12, 16) == 192.0
-        with pytest.raises(ValueError):
-            multiplier_area(0, 4)
-
-    def test_filter_area_known_value(self):
-        # one tap, 2x2-bit operands: 2*4*log2(4) + 2*4 = 24
-        assert filter_area(1, 2, 2) == pytest.approx(24.0)
-
-    def test_filter_area_linear_in_taps(self):
-        assert filter_area(8, 12, 16) == pytest.approx(8 * filter_area(1, 12, 16))
-
-    def test_filter_area_rejects_zeros(self):
-        for bad in ((0, 2, 2), (1, 0, 2), (1, 2, 0)):
-            with pytest.raises(ValueError):
-                filter_area(*bad)
-
-
-class TestConverterModels:
-    def test_adc_power(self):
-        assert adc_power(2e-15, 10.0, 1e9) == pytest.approx(2.048e-3)
-        # fractional effective resolution is fine
-        assert adc_power(1e-15, 9.5, 1e9) == pytest.approx(2 ** 9.5 * 1e-6)
-        with pytest.raises(ValueError):
-            adc_power(-1e-15, 10.0, 1e9)
-        with pytest.raises(ValueError):
-            adc_power(1e-15, 10.0, 0.0)
-
-    def test_dac_fom(self):
-        assert dac_fom(1.0, 1e9, 40.0, 1e-3) == pytest.approx(1e14)
-        with pytest.raises(ValueError):
-            dac_fom(1.0, 1e9, 40.0, 0.0)
-
-    def test_dynamic_power(self):
-        assert dynamic_power(1e-12, 0.9, 500e6) == pytest.approx(4.05e-4)
-        assert dynamic_power(0.0, 0.9, 500e6) == 0.0
-        with pytest.raises(ValueError):
-            dynamic_power(-1e-12, 0.9, 500e6)

@@ -4,7 +4,6 @@ import pytest
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
 from mimodsp.decentral import (GroupPartition, InterconnectConfig,
                                aggregate_gram, aggregate_mf,
-                               centralized_link_load, group_link_load,
                                interconnect_rate, local_gram, local_mf,
                                partition, split_rows)
 
@@ -16,11 +15,6 @@ class TestPartition:
         chunks = [np.arange(128)[p.rows(g)] for g in range(8)]
         assert all(len(c) == 16 for c in chunks)
         assert np.array_equal(np.concatenate(chunks), np.arange(128))
-
-    def test_assignment_contiguous(self):
-        p = partition(12, 3)
-        assert np.array_equal(p.assignment,
-                              np.repeat(np.arange(3), 4))
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -88,39 +82,3 @@ class TestInterconnect:
             InterconnectConfig(1e6, 32, 16, 0, 8, 1)    # data > fft size
         with pytest.raises(ValueError):
             InterconnectConfig(0.0, 10, 16, 1, 8, 1)
-
-
-class TestLinkLoads:
-    # w_bits counts bits per complex word, matching the interconnect W
-    def test_per_realization_full_gram(self):
-        p = partition(64, 4)
-        assert group_link_load(p, 8, 24, "realization") == 4 * 8 * 8 * 24
-
-    def test_per_realization_triangular(self):
-        p = partition(64, 4)
-        full = group_link_load(p, 8, 24, "realization")
-        tri = group_link_load(p, 8, 24, "realization", triangular=True)
-        assert tri == 4 * (8 * 9 // 2) * 24
-        assert tri < full
-
-    def test_per_use_mf_vectors(self):
-        p = partition(64, 4)
-        assert group_link_load(p, 8, 24, "use") == 4 * 8 * 24
-
-    def test_centralized_reference_loads(self):
-        assert centralized_link_load(100, 8, 24, "use") == 100 * 24
-        assert centralized_link_load(100, 8, 24, "realization") == 100 * 8 * 24
-
-    def test_decentralized_cheaper_when_grouped(self):
-        p = partition(128, 4)
-        assert (group_link_load(p, 8, 24, "use")
-                < centralized_link_load(128, 8, 24, "use"))
-        assert (group_link_load(p, 8, 24, "realization")
-                < centralized_link_load(128, 8, 24, "realization"))
-
-    def test_validation(self):
-        p = partition(8, 2)
-        with pytest.raises(ValueError):
-            group_link_load(p, 0, 12, "use")
-        with pytest.raises(ValueError):
-            group_link_load(p, 4, 12, "nonsense")

@@ -673,10 +673,6 @@ class TestSnrAtBer:
             with pytest.raises(ValueError, match="target"):
                 snr_at_ber(res, target)
 
-    def test_min_detectable_ber(self):
-        res = _synthetic_result([0.0], [1e-2], n_bits=4000)
-        assert res.min_detectable_ber() == 0.5 / 4000
-
 
 _COMPRESSIVE = PaModel(alpha1=1.0, alpha3=-0.05, a_in_sat=2.5)
 

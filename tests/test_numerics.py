@@ -12,10 +12,6 @@ class TestFixedPointFormat:
         fmt = FixedPointFormat(total_bits=8, fraction_bits=4)
         assert fmt.step == 2.0 ** -4
         assert fmt.max_value == (2 ** 7 - 1) * fmt.step
-        # saturating range is symmetric; only wrap mode exposes -2^(T-1)
-        assert fmt.min_value == -fmt.max_value
-        wrap = FixedPointFormat(total_bits=8, fraction_bits=4, saturating=False)
-        assert wrap.min_value == -(2 ** 7) * fmt.step
 
     def test_for_unit_range_layout(self):
         # sign + 3 integer bits + n fraction bits
@@ -40,7 +36,7 @@ class TestFxpQuantize:
 
     def test_half_step_error_bound(self, rng):
         fmt = FixedPointFormat(total_bits=12, fraction_bits=8)
-        x = rng.uniform(fmt.min_value, fmt.max_value, 500)
+        x = rng.uniform(-fmt.max_value, fmt.max_value, 500)
         q = fxp_quantize(x, fmt)
         assert np.max(np.abs(q - x)) <= fmt.step / 2 + 1e-15
 
@@ -54,14 +50,9 @@ class TestFxpQuantize:
 
     def test_saturation(self):
         fmt = FixedPointFormat(total_bits=6, fraction_bits=2)
+        # the range is symmetric: -2^(T-1) is never produced
         assert fxp_quantize(1e9, fmt) == fmt.max_value
-        assert fxp_quantize(-1e9, fmt) == fmt.min_value
-
-    def test_wraparound(self):
-        fmt = FixedPointFormat(total_bits=6, fraction_bits=2, saturating=False)
-        # one step above the top wraps to the bottom of the range
-        top = fmt.max_value
-        assert fxp_quantize(top + fmt.step, fmt) == fmt.min_value
+        assert fxp_quantize(-1e9, fmt) == -fmt.max_value
 
     def test_complex_per_axis(self):
         fmt = FixedPointFormat(total_bits=8, fraction_bits=4)
@@ -89,10 +80,7 @@ def _out_of_place_quantize(x, fmt):
     def axis(v):
         ints = np.round(np.asarray(v, dtype=float) * 2.0 ** fmt.fraction_bits)
         lim = 2 ** (fmt.total_bits - 1)
-        if fmt.saturating:
-            ints = np.clip(ints, -(lim - 1), lim - 1)
-        else:
-            ints = np.mod(ints + lim, 2 * lim) - lim
+        ints = np.clip(ints, -(lim - 1), lim - 1)
         return ints * fmt.step
 
     x = np.asarray(x)
@@ -102,7 +90,7 @@ def _out_of_place_quantize(x, fmt):
 
 
 def _awkward_values(rng, fmt, shape):
-    """Values past the format's range (so it saturates or wraps), exact
+    """Values past the format's range (so it saturates), exact
     ties, zeros of both signs and small negatives that round to -0.0."""
     v = rng.uniform(-3.0, 3.0, shape) * (fmt.max_value + fmt.step)
     flat = v.reshape(-1)
@@ -138,8 +126,6 @@ _QUANTIZER_FORMATS = {
     "sat 8.4": FixedPointFormat(8, 4),
     "sat unit 8": FixedPointFormat.for_unit_range(8),
     "sat 3.1": FixedPointFormat(3, 1),
-    "wrap 8.4": FixedPointFormat(8, 4, saturating=False),
-    "wrap 5.2": FixedPointFormat(5, 2, saturating=False),
 }
 
 

@@ -140,11 +140,13 @@ def _raw_evm_vs_m(draw):
                 precoder=draw(st.sampled_from(sorted(PRECODERS))),
                 constellation=draw(st.sampled_from(sorted(_ORDERS))),
                 m_ref=draw(_SIZES),
-                # a zero or tiny alpha1 or a_1db leaves alpha3 zero, and
-                # validation divides by it: pinned in test_cli.py
-                pa=dict(a_1db=draw(st.floats(1e-3, 3.0)),
-                        alpha1=draw(st.floats(1e-3, 2.0)
-                                    | st.floats(-2.0, -1e-3))))
+                # zero, subnormal, tiny, huge and infinite values included:
+                # validate refuses what leaves no compression point
+                pa=dict(a_1db=draw(st.floats(1e-3, 3.0)
+                                   | st.floats(min_value=0.0)
+                                   | st.sampled_from([1e-200, 1e200])),
+                        alpha1=draw(st.floats(-2.0, 2.0)
+                                    | st.sampled_from([0.0, 5e-324]))))
 
 
 @st.composite
