@@ -6,7 +6,7 @@ a coded link-level simulator, tied together by the ``mimodsp`` CLI.
 """
 from . import (channel, complexity, decentral, equalization, impairments,
                link, numerics)
-from .channel import (draw_iid_rayleigh, estimate_ls, gram,
+from .channel import (diag_dominance, draw_iid_rayleigh, estimate_ls, gram,
                       hardening_variance, stream_rng)
 from .complexity import AlgoCost, exact_inverse_cost, table2_cost
 from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
@@ -14,8 +14,8 @@ from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
                         partition, split_rows)
 from .equalization import (NsaDivergenceWarning, UplinkDetector,
                            build_uplink_detector, combiner_exact,
-                           fit_wnsa_weights, nsa_inverse, precode,
-                           wnsa_inverse)
+                           fit_wnsa_weights, nsa_inverse, post_combining_sinr,
+                           precode, wnsa_inverse)
 from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           build_nonreciprocal, calibrate, draw_front_end_set,
                           draw_victims, evm_db, inject_errors, mui_db,

@@ -36,6 +36,7 @@ __all__ = [
     "combiner_exact",
     "PRECODERS",
     "precode",
+    "post_combining_sinr",
     "nsa_inverse",
     "wnsa_inverse",
     "fit_wnsa_weights",
@@ -122,6 +123,16 @@ def precode(g_hat: np.ndarray, method: str) -> np.ndarray:
     unit = np.conj(a) / gains[None, :]
     # times the reciprocal, not a division: the recorded results' rounding
     return unit * (1.0 / np.linalg.norm(unit))
+
+
+def post_combining_sinr(a: np.ndarray, g: np.ndarray,
+                        noise_var: float) -> np.ndarray:
+    """Per-user SINR of an (M, K) combiner ``a`` against the true channel."""
+    cross = np.conj(a.T) @ g     # (K, K): row k = user k's gains
+    sig = np.abs(np.diag(cross)) ** 2
+    interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
+    noise = noise_var * np.sum(np.abs(a) ** 2, axis=0)
+    return sig / (interf + noise)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import pytest
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
 from mimodsp.equalization import (N0_FREE_DETECTORS, NsaDivergenceWarning,
                                   build_uplink_detector, combiner_exact,
-                                  fit_wnsa_weights, nsa_inverse, precode,
-                                  wnsa_inverse)
+                                  fit_wnsa_weights, nsa_inverse,
+                                  post_combining_sinr, precode, wnsa_inverse)
 from mimodsp.numerics import FixedPointFormat, FxpOverlay, qrd
 
 
@@ -66,6 +66,24 @@ class TestPrecode:
         a = precode(g, "mr")
         expected = np.conj(g) / np.linalg.norm(g)
         assert np.allclose(a, expected, atol=1e-12)
+
+
+class TestSinr:
+    def test_decreases_with_noise(self, rng):
+        g = _chan(rng, 32, 4)
+        a = combiner_exact(g, "zf")
+        s1 = post_combining_sinr(a, g, 0.01)
+        s2 = post_combining_sinr(a, g, 0.1)
+        assert np.all(s1 > s2)
+
+    def test_zf_perfect_csi_no_interference(self, rng):
+        g = _chan(rng, 32, 4)
+        a = combiner_exact(g, "zf")
+        nv = 0.05
+        sinr = post_combining_sinr(a, g, nv)
+        # all residual power is noise: SINR = 1 / (nv ||a_k||^2)
+        expected = 1.0 / (nv * np.sum(np.abs(a) ** 2, axis=0))
+        assert np.allclose(sinr, expected, rtol=1e-8)
 
 
 class TestNsa:
