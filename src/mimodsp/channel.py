@@ -1,5 +1,5 @@
-"""I.i.d. Rayleigh channels, pilot-based estimation, the Gram matrix, its
-diagonal dominance and channel hardening."""
+"""I.i.d. Rayleigh channels, pilot-based estimation, the Gram matrix and
+channel hardening."""
 from __future__ import annotations
 
 from typing import Union
@@ -12,7 +12,6 @@ __all__ = [
     "draw_iid_rayleigh",
     "estimate_ls",
     "gram",
-    "diag_dominance",
     "hardening_variance",
 ]
 
@@ -54,11 +53,9 @@ def estimate_ls(g: np.ndarray, pilot_snr_db: float, rng: RngLike) -> np.ndarray:
     if np.isinf(pilot_snr_db) and pilot_snr_db > 0:
         return g.copy()
     m, k = g.shape
-    r = as_rng(rng)
     sigma = 10.0 ** (-pilot_snr_db / 20.0)
     pilots = np.fft.fft(np.eye(k)) / np.sqrt(k)
-    w = (r.standard_normal((m, k)) + 1j * r.standard_normal((m, k))) / np.sqrt(2.0)
-    y = g @ pilots + sigma * w
+    y = g @ pilots + sigma * draw_iid_rayleigh(m, k, rng)
     return y @ np.conj(pilots.T)
 
 
@@ -66,21 +63,6 @@ def gram(g: np.ndarray) -> np.ndarray:
     """K x K Gram matrix ``G^H G``."""
     g = np.asarray(g)
     return np.conj(g.T) @ g
-
-
-def diag_dominance(z: np.ndarray) -> float:
-    """Largest off-diagonal magnitude over the smallest diagonal magnitude.
-
-    Small values mean the Gram is close to a scaled identity, which is the
-    regime the approximate solvers rely on; the ratio shrinks like
-    ``1 / sqrt(M)`` for independent Rayleigh columns.
-    """
-    z = np.asarray(z)
-    k = z.shape[0]
-    if k == 1:
-        return 0.0
-    off = np.abs(z - np.diag(np.diag(z)))
-    return float(off.max() / np.abs(np.diag(z)).min())
 
 
 def hardening_variance(m: int, trials: int, rng: RngLike) -> float:

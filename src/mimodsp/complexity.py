@@ -24,7 +24,6 @@ ITERATIVE = ("nsa", "cd")       # the algorithms that take an iteration count
 class AlgoCost:
     """Real-multiplication budget split into setup and steady-state parts."""
 
-    algorithm: str
     per_realization: float
     per_use: float
 
@@ -63,7 +62,7 @@ def table2_cost(alg: str, m: int, k: int, l: int | None = None) -> AlgoCost:
         per_use = 4 * m * (l - 1) + 4 * k * m * l
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
-    return AlgoCost(algorithm=alg, per_realization=per_real, per_use=per_use)
+    return AlgoCost(per_realization=per_real, per_use=per_use)
 
 
 def exact_inverse_cost(m: int, k: int) -> int:

@@ -13,6 +13,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .channel import gram
+
 __all__ = [
     "GroupPartition",
     "partition",
@@ -63,7 +65,7 @@ def split_rows(arr: np.ndarray, part: GroupPartition) -> List[np.ndarray]:
 
 def local_gram(g_hat: np.ndarray, part: GroupPartition) -> List[np.ndarray]:
     """Per-group partial Gram matrices ``G_b^H G_b``."""
-    return [np.conj(g_b.T) @ g_b for g_b in split_rows(g_hat, part)]
+    return [gram(g_b) for g_b in split_rows(g_hat, part)]
 
 
 def aggregate_gram(partials: Sequence[np.ndarray]) -> np.ndarray:

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .channel import gram
 from .numerics import (
     FxpOverlay,
     _quantize_real,
@@ -36,7 +37,6 @@ __all__ = [
     "combiner_exact",
     "PRECODERS",
     "precode",
-    "post_combining_sinr",
     "nsa_inverse",
     "wnsa_inverse",
     "fit_wnsa_weights",
@@ -87,7 +87,7 @@ def _channel_inverse(g_hat, method, nus, kind):
     if nu is None:
         a = g
     else:
-        z = np.conj(g.T) @ g + float(nu) * np.eye(g.shape[1])
+        z = gram(g) + float(nu) * np.eye(g.shape[1])
         a = g @ np.linalg.inv(z)
     gains = np.einsum("mk,mk->k", np.conj(a), g)
     if np.any(gains.real <= 0):
@@ -123,16 +123,6 @@ def precode(g_hat: np.ndarray, method: str) -> np.ndarray:
     unit = np.conj(a) / gains[None, :]
     # times the reciprocal, not a division: the recorded results' rounding
     return unit * (1.0 / np.linalg.norm(unit))
-
-
-def post_combining_sinr(a: np.ndarray, g: np.ndarray,
-                        noise_var: float) -> np.ndarray:
-    """Per-user SINR of an (M, K) combiner ``a`` against the true channel."""
-    cross = np.conj(a.T) @ g     # (K, K): row k = user k's gains
-    sig = np.abs(np.diag(cross)) ** 2
-    interf = np.sum(np.abs(cross) ** 2, axis=1) - sig
-    noise = noise_var * np.sum(np.abs(a) ** 2, axis=0)
-    return sig / (interf + noise)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +234,9 @@ def wnsa_inverse(z: np.ndarray, weights: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _columns(y):
-    """Receive vectors as complex columns, and whether ``y`` was one vector."""
-    y = np.asarray(y, dtype=complex)
-    return (y[:, None], True) if y.ndim == 1 else (y, False)
-
-
 def _regularized_gram(g, noise_var, ov):
-    m = g.shape[0]
-    k = g.shape[1]
-    zbar = (np.conj(g.T) @ g + noise_var * np.eye(k)) / m
+    m, k = g.shape
+    zbar = (gram(g) + noise_var * np.eye(k)) / m
     return ov.q_operator(zbar)
 
 
@@ -302,7 +285,7 @@ class UplinkDetector:
     nsa_order: int = 3
     cd_sweeps: int = 3
     c_const: float = 1.0
-    _state: dict = field(default_factory=dict, repr=False)
+    _state: dict = field(default_factory=dict, init=False, repr=False)
     reconstruction_error: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
@@ -347,17 +330,17 @@ class UplinkDetector:
                 self.reconstruction_error = res.reconstruction_error
 
     def detect(self, y: np.ndarray) -> np.ndarray:
+        """(K, N) estimates of the (M, N) complex receive vectors ``y``."""
         g = self.g_hat
         ov = self.overlay
-        yc, squeeze = _columns(y)
         method = self.method
         if method in ("mr", "zf", "mmse"):
-            xhat = np.conj(self._state["combiner"].T) @ yc
+            xhat = np.conj(self._state["combiner"].T) @ y
         elif method == "cd":
-            for xhat in self._cd_updates(yc):
+            for xhat in self._cd_updates(y):
                 pass
         else:  # nsa, wnsa, chd and mqrd start from the matched filter
-            s = _matched_filter(g, yc, ov)
+            s = _matched_filter(g, y, ov)
             if method in ("nsa", "wnsa"):
                 xhat = ov.q_signal(self._state["inverse"] @ s)
             elif method == "chd":
@@ -367,7 +350,7 @@ class UplinkDetector:
             else:  # mqrd
                 rhs = ov.q_signal(self._state["t"] @ s)
                 xhat = back_substitute(self._state["r"], rhs, ov.q_signal)
-        return xhat[:, 0] if squeeze else xhat
+        return xhat
 
     def _cd_updates(self, yc):
         """The cd sweeps over column-stacked receive vectors ``yc``.

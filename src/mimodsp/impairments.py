@@ -70,14 +70,17 @@ class PaModel:
         which fixes ``alpha3 = (10**(-1/20) - 1) alpha1 / a_1db**2``
         (about ``-0.1087 alpha1`` for unit ``a_1db``).  Input saturation
         defaults to the amplitude where the cubic's gain slope hits zero
-        and output saturation to the cubic's value there.  Raises
-        ``ValueError`` where float arithmetic leaves nothing to pin:
-        ``alpha3`` comes out zero (``alpha1`` zero or subnormal, ``a_1db``
-        infinite), or a square or cube leaves the float range (``a_1db``
-        tiny or huge).
+        and output saturation to the cubic's value there.  ``a_1db`` must
+        be positive and ``alpha1`` finite.  Raises ``ValueError`` also
+        where float arithmetic leaves nothing to pin: ``alpha3`` comes out
+        zero (``alpha1`` zero or subnormal, ``a_1db`` infinite), or a
+        square or cube leaves the float range (``a_1db`` tiny or huge).
         """
-        if a_1db <= 0:
-            raise ValueError("compression amplitude must be positive")
+        if not a_1db > 0:
+            raise ValueError(f"compression amplitude a_1db must be positive, "
+                             f"got {a_1db!r}")
+        if not np.isfinite(alpha1):
+            raise ValueError(f"linear gain alpha1 must be finite, got {alpha1!r}")
         try:
             alpha3 = (10.0 ** (-1.0 / 20.0) - 1.0) * alpha1 / a_1db ** 2
             a_in = float(np.sqrt(abs(alpha1) / (3.0 * abs(alpha3))))

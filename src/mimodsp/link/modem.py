@@ -48,14 +48,6 @@ class Constellation:
     def axis_bits(self) -> int:
         return self.bits_per_symbol // 2
 
-    @property
-    def points(self) -> np.ndarray:
-        """Every symbol, indexed by its integer label (bits MSB first)."""
-        bps = self.bits_per_symbol
-        labels = np.arange(1 << bps)[:, None]
-        bits = (labels >> np.arange(bps - 1, -1, -1)) & 1
-        return map_bits(bits.ravel(), self)
-
 
 def _axis_labels(bits: np.ndarray, c: Constellation) -> np.ndarray:
     """(..., symbols, 2) I and Q labels of a flat or (streams, n) bit array."""

@@ -80,10 +80,6 @@ class FixedPointFormat:
     def step(self) -> float:
         return 2.0 ** -self.fraction_bits
 
-    @property
-    def max_value(self) -> float:
-        return (2 ** (self.total_bits - 1) - 1) * self.step
-
     @classmethod
     def for_unit_range(cls, fraction_bits: int) -> "FixedPointFormat":
         """Format for values normalized to O(1): sign + 3 + fraction."""
@@ -126,12 +122,12 @@ class FxpOverlay:
     operator: Optional[FixedPointFormat] = None
 
     @classmethod
-    def from_fraction_bits(cls, signal_bits: Optional[int],
+    def from_fraction_bits(cls, signal_bits: int,
                            operator_bits: Optional[int] = None) -> "FxpOverlay":
+        """Unit-range formats; the operator side defaults to ``signal_bits``."""
         op_bits = signal_bits if operator_bits is None else operator_bits
-        sig = None if signal_bits is None else FixedPointFormat.for_unit_range(signal_bits)
-        op = None if op_bits is None else FixedPointFormat.for_unit_range(op_bits)
-        return cls(signal=sig, operator=op)
+        return cls(signal=FixedPointFormat.for_unit_range(signal_bits),
+                   operator=FixedPointFormat.for_unit_range(op_bits))
 
     def q_signal(self, x):
         return x if self.signal is None else fxp_quantize(x, self.signal)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mimodsp.channel import (diag_dominance, draw_iid_rayleigh, estimate_ls,
-                             gram, hardening_variance, stream_rng)
+from mimodsp.channel import (draw_iid_rayleigh, estimate_ls, gram,
+                             hardening_variance, stream_rng)
 
 
 class TestStreamRng:
@@ -75,27 +75,6 @@ class TestGram:
     def test_matches_definition(self, rng):
         g = draw_iid_rayleigh(5, 3, rng)
         assert np.allclose(gram(g), np.conj(g.T) @ g)
-
-
-class TestDiagDominance:
-    def test_single_user_is_zero(self, rng):
-        z = gram(draw_iid_rayleigh(16, 1, rng))
-        assert diag_dominance(z) == 0.0
-
-    def test_orthogonal_columns(self):
-        z = np.diag([2.0, 3.0]).astype(complex)
-        assert diag_dominance(z) == 0.0
-
-    def test_known_value(self):
-        z = np.array([[4.0, 1.0], [1.0, 2.0]], dtype=complex)
-        assert diag_dominance(z) == pytest.approx(0.5)
-
-    def test_shrinks_with_antennas(self, master_seed):
-        small = np.median([diag_dominance(gram(draw_iid_rayleigh(
-            16, 8, stream_rng(master_seed, 0, t)))) for t in range(20)])
-        large = np.median([diag_dominance(gram(draw_iid_rayleigh(
-            256, 8, stream_rng(master_seed, 1, t)))) for t in range(20)])
-        assert large < small
 
 
 class TestHardening:

@@ -340,6 +340,12 @@ class TestValidationFailures:
         (dict(_TINY_OUTAGE, target_ber=2.0), "target_ber: 2.0 outside"),
         (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
          "algorithms: ('NSA', 'lu') not one of"),
+        (dict(_TINY_EVM, pa={"a_1db": float("nan")}),
+         "pa: compression amplitude a_1db must be positive, got nan"),
+        (dict(_TINY_EVM, pa={"alpha1": float("nan")}),
+         "pa: linear gain alpha1 must be finite, got nan"),
+        (dict(_TINY_EVM, pa={"alpha1": float("-inf")}),
+         "pa: linear gain alpha1 must be finite, got -inf"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):

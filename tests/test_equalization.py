@@ -4,8 +4,8 @@ import pytest
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
 from mimodsp.equalization import (N0_FREE_DETECTORS, NsaDivergenceWarning,
                                   build_uplink_detector, combiner_exact,
-                                  fit_wnsa_weights, nsa_inverse,
-                                  post_combining_sinr, precode, wnsa_inverse)
+                                  fit_wnsa_weights, nsa_inverse, precode,
+                                  wnsa_inverse)
 from mimodsp.numerics import FixedPointFormat, FxpOverlay, qrd
 
 
@@ -66,24 +66,6 @@ class TestPrecode:
         a = precode(g, "mr")
         expected = np.conj(g) / np.linalg.norm(g)
         assert np.allclose(a, expected, atol=1e-12)
-
-
-class TestSinr:
-    def test_decreases_with_noise(self, rng):
-        g = _chan(rng, 32, 4)
-        a = combiner_exact(g, "zf")
-        s1 = post_combining_sinr(a, g, 0.01)
-        s2 = post_combining_sinr(a, g, 0.1)
-        assert np.all(s1 > s2)
-
-    def test_zf_perfect_csi_no_interference(self, rng):
-        g = _chan(rng, 32, 4)
-        a = combiner_exact(g, "zf")
-        nv = 0.05
-        sinr = post_combining_sinr(a, g, nv)
-        # all residual power is noise: SINR = 1 / (nv ||a_k||^2)
-        expected = 1.0 / (nv * np.sum(np.abs(a) ** 2, axis=0))
-        assert np.allclose(sinr, expected, rtol=1e-8)
 
 
 class TestNsa:
@@ -214,7 +196,8 @@ class TestCd:
             est = build_uplink_detector(g, "cd", 0.1).detect(y)
             reach = max(np.max(np.abs((y / agc).view(float))),
                         np.max(np.abs(est.view(float))))
-            assert reach > overlay.signal.max_value
+            fmt = overlay.signal
+            assert reach > (2 ** (fmt.total_bits - 1) - 1) * fmt.step
         assert np.array_equal(det.detect(y), _cd_out_of_place(det, y))
 
     def test_converges_to_regularized_solution(self, rng):
@@ -252,11 +235,6 @@ class TestCd:
         g, _, y = _sim_problem(rng)
         with pytest.raises(ValueError, match="noise variance"):
             build_uplink_detector(g, "cd", 0.0)
-
-    def test_single_vector_shape(self, rng):
-        g, _, y = _sim_problem(rng, n=1)
-        out = build_uplink_detector(g, "cd", 0.1).detect(y[:, 0])
-        assert out.shape == (8,)
 
 
 class TestChd:
@@ -352,7 +330,7 @@ class TestUplinkDetector:
         assert det.reconstruction_error == want
         assert build_uplink_detector(g, "chd", nv).reconstruction_error is None
 
-    def test_single_use_round_trip_shape(self, rng):
-        g, _, y = _sim_problem(rng, n=1)
-        det = build_uplink_detector(g, "chd", 0.05)
-        assert det.detect(y[:, 0]).shape == (8,)
+    def test_state_is_not_an_argument(self, rng):
+        g, _, _ = _sim_problem(rng)
+        with pytest.raises(TypeError):
+            build_uplink_detector(g, "zf", 0.0, _state={})

@@ -8,7 +8,8 @@ behaviour, not a refactor.  The grid is chosen so every detector makes
 errors at one point or more, so a detector that silently stops
 detecting cannot pass by staying at zero.  An uncoded table does the
 same for hard decisions: every constellation with mr, zf, mmse and chd,
-and zf behind the fault front end.
+and zf behind the fault front end.  A last table runs zf and chd on a
+least-squares channel estimate from 0 dB pilots.
 """
 import pytest
 
@@ -56,6 +57,25 @@ FRONT_END_GOLDEN = {
             "ignore_value": (1320, 997, 589),
             "exclude_adc4": (1259, 660, 30)},
 }
+
+
+# The coded sweep on an estimate from 0 dB pilots, recorded before the
+# estimate's error was drawn through draw_iid_rayleigh: detector ->
+# fraction bits -> n_errors per SNR.
+PILOT_GOLDEN = {
+    "zf": {None: (1394, 1343, 1280), 8: (1394, 1343, 1280)},
+    "chd": {None: (1445, 1361, 1342), 8: (1445, 1369, 1345)},
+}
+
+
+@pytest.mark.parametrize("bits", [None, 8], ids=["float", "fxp8"])
+@pytest.mark.parametrize("detector", sorted(PILOT_GOLDEN))
+def test_finite_pilot_counts_pinned(detector, bits):
+    cfg = SimConfig(detector=detector, signal_fraction_bits=bits,
+                    operator_fraction_bits=bits, pilot_snr_db=0.0, **_BASE)
+    res = run_uplink_ber(cfg)
+    assert (tuple(p.n_errors for p in res.points)
+            == PILOT_GOLDEN[detector][bits])
 
 
 @pytest.mark.parametrize("case", sorted(_FRONT_END_CASES))
@@ -120,7 +140,7 @@ def test_uncoded_front_end_counts_pinned(case, constellation):
 
 def test_every_detector_makes_errors():
     for detector, by_case in (*GOLDEN.items(), *FRONT_END_GOLDEN.items(),
-                              *UNCODED_GOLDEN.items(),
+                              *PILOT_GOLDEN.items(), *UNCODED_GOLDEN.items(),
                               *UNCODED_FRONT_END_GOLDEN.items()):
         for counts in by_case.values():
             assert any(counts), detector

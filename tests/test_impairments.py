@@ -35,6 +35,16 @@ class TestPaModel:
         at_sat = pa_apply(np.array([pa.a_in_sat + 0.0j]), pa)
         assert abs(hi[0]) == pytest.approx(abs(at_sat[0]), rel=1e-12)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(a_1db=float("nan")), "a_1db"),
+        (dict(a_1db=-1.0), "a_1db"),
+        (dict(a_1db=1.0, alpha1=float("nan")), "alpha1"),
+        (dict(a_1db=1.0, alpha1=complex("inf")), "alpha1"),
+    ], ids=["nan_a_1db", "negative_a_1db", "nan_alpha1", "inf_alpha1"])
+    def test_refused_argument_is_named(self, kwargs, key):
+        with pytest.raises(ValueError, match=f" {key} must be "):
+            PaModel.from_compression_point(**kwargs)
+
     def test_monotone_below_saturation(self):
         pa = PaModel.from_compression_point(1.0)
         amps = np.linspace(0.01, pa.a_in_sat, 100)

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import comb
 
 from mimodsp import (PaModel, SimConfig, impairments, run_calibration_study,
                      run_downlink_evm, run_outage_study, run_uplink_ber,
@@ -44,7 +43,7 @@ def _zf_qpsk_ber_rayleigh(m, k, snr_db):
     mu = math.sqrt(gbar / (1.0 + gbar))
     a = (1.0 - mu) / 2.0
     b = (1.0 + mu) / 2.0
-    return a ** n * sum(comb(n - 1 + i, i) * b ** i for i in range(n))
+    return a ** n * sum(math.comb(n - 1 + i, i) * b ** i for i in range(n))
 
 
 def _zf_qpsk_ber_conditional(g, snr_db):
