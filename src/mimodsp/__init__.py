@@ -9,9 +9,8 @@ from . import (channel, complexity, decentral, equalization, impairments,
 from .channel import (draw_iid_rayleigh, estimate_ls, gram, hardening_variance,
                       stream_rng)
 from .complexity import AlgoCost, exact_inverse_cost, table2_cost
-from .decentral import (GroupPartition, InterconnectConfig, aggregate_gram,
-                        aggregate_mf, interconnect_rate, local_gram, local_mf,
-                        partition, split_rows)
+from .decentral import (InterconnectConfig, aggregate, interconnect_rate,
+                        local_gram, local_mf)
 from .equalization import (NsaDivergenceWarning, UplinkDetector,
                            build_uplink_detector, combiner_exact,
                            fit_wnsa_weights, nsa_inverse, precode,

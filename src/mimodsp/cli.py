@@ -58,7 +58,7 @@ class _Schema:
         self.seen = set()
 
     def take(self, key, typ, default=None, required=False, choices=None,
-             minimum=None):
+             minimum=None, maximum=None):
         """``key`` read as ``typ``; ``default`` when absent or invalid.
         Names with ``choices``, one or a tuple, are returned in lower case."""
         self.seen.add(key)
@@ -76,6 +76,10 @@ class _Schema:
         if minimum is not None and any(v < minimum for v in vals):
             self.errors.append(f"{key}: {'entries ' if many else ''}"
                                f"must be at least {minimum}")
+            return default
+        if maximum is not None and any(v > maximum for v in vals):
+            self.errors.append(f"{key}: {'entries ' if many else ''}"
+                               f"must be at most {maximum}")
             return default
         if choices is None:
             return val
@@ -96,8 +100,8 @@ class _Schema:
 
 
 def _coerce(val, typ):
-    """``val`` as annotation ``typ``: a scalar, ``Optional[X]`` (the only
-    type that takes ``null``) or ``Tuple[X, ...]`` (a non-empty list)."""
+    """``val`` as annotation ``typ``: a scalar (no NaN), ``Optional[X]`` (the
+    only type that takes ``null``) or ``Tuple[X, ...]`` (a non-empty list)."""
     if get_origin(typ) is Union:
         return None if val is None else _coerce(val, get_args(typ)[0])
     if get_origin(typ) is tuple:
@@ -112,9 +116,12 @@ def _coerce(val, typ):
                 or (typ is int and isinstance(val, float)
                     and not val.is_integer())):
             raise TypeError
-        return typ(val)
+        out = typ(val)
     except (TypeError, ValueError):
         raise TypeError(f"expected {typ.__name__}, got {val!r}") from None
+    if typ is float and math.isnan(out):
+        raise TypeError(f"expected a number, got {val!r}")
+    return out
 
 
 def _read(s: _Schema, cls, **fixed):
@@ -231,7 +238,8 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
     k = s.take("k", int, required=True, minimum=1)
     trials = s.take("trials", int, default=20, minimum=1)
     uses = s.take("uses", int, default=64, minimum=1)
-    backoff = s.take("backoff_db", float, default=0.0)
+    backoff = s.take("backoff_db", float, default=0.0, minimum=-60.0,
+                     maximum=60.0)
     precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     constellation = s.take("constellation", str, default="qpsk")
     m_ref = s.take("m_ref", int, minimum=1)
@@ -314,10 +322,16 @@ def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
 def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
     m = s.take("m", int, required=True, minimum=1)
     k = s.take("k", int, required=True, minimum=1)
-    gain = s.take("gain_bound_db", float, default=1.0)
-    phase = s.take("phase_bound_deg", float, default=5.0)
+    # + 0.0 turns a bound of -0.0 into 0.0, a spread that uniform takes
+    gain = s.take("gain_bound_db", float, default=1.0, minimum=0.0,
+                  maximum=20.0) + 0.0
+    phase = s.take("phase_bound_deg", float, default=5.0, minimum=0.0,
+                   maximum=180.0) + 0.0
     residuals = s.take("residual_error_db", Tuple[float, ...],
-                       default=(-40.0,))
+                       default=(-40.0,), maximum=60.0)
+    if any(-math.inf < r < -300.0 for r in residuals):
+        s.errors.append("residual_error_db: entries must be -.inf or "
+                        "at least -300.0")
     trials = s.take("trials", int, default=100, minimum=1)
     precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     if m and k and k > m:

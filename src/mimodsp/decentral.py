@@ -8,6 +8,7 @@ reassociation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -15,79 +16,37 @@ import numpy as np
 
 from .channel import gram
 
-__all__ = [
-    "GroupPartition",
-    "partition",
-    "split_rows",
-    "local_gram",
-    "aggregate_gram",
-    "local_mf",
-    "aggregate_mf",
-    "InterconnectConfig",
-    "interconnect_rate",
-]
+__all__ = ["local_gram", "local_mf", "aggregate", "InterconnectConfig",
+           "interconnect_rate"]
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Contiguous split of ``m`` antennas into ``b`` equal groups."""
-
-    m: int
-    b: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.b < 1:
-            raise ValueError("antenna and group counts must be positive")
-        if self.m % self.b:
-            raise ValueError(f"group count {self.b} does not divide {self.m} antennas")
-
-    @property
-    def c(self) -> int:
-        return self.m // self.b
-
-    def rows(self, group: int) -> slice:
-        if not 0 <= group < self.b:
-            raise IndexError(f"group {group} out of range")
-        return slice(group * self.c, (group + 1) * self.c)
-
-
-def partition(m: int, b: int) -> GroupPartition:
-    return GroupPartition(m=m, b=b)
-
-
-def split_rows(arr: np.ndarray, part: GroupPartition) -> List[np.ndarray]:
-    """Views of the per-group row blocks of an (M, ...) array."""
+def _row_blocks(arr: np.ndarray, groups: int) -> List[np.ndarray]:
+    """Views of ``arr``'s rows in ``groups`` equal, contiguous blocks."""
     arr = np.asarray(arr)
-    if arr.shape[0] != part.m:
-        raise ValueError("row count does not match partition")
-    return [arr[part.rows(g)] for g in range(part.b)]
+    if groups < 1 or len(arr) < 1:
+        raise ValueError("antenna and group counts must be positive")
+    c, rest = divmod(len(arr), groups)
+    if rest:
+        raise ValueError(f"group count {groups} does not divide {len(arr)} antennas")
+    return [arr[b * c:(b + 1) * c] for b in range(groups)]
 
 
-def local_gram(g_hat: np.ndarray, part: GroupPartition) -> List[np.ndarray]:
-    """Per-group partial Gram matrices ``G_b^H G_b``."""
-    return [gram(g_b) for g_b in split_rows(g_hat, part)]
+def local_gram(g_hat: np.ndarray, groups: int) -> List[np.ndarray]:
+    """Per-group partial Gram matrices ``G_b^H G_b``, in group order."""
+    return [gram(g_b) for g_b in _row_blocks(g_hat, groups)]
 
 
-def aggregate_gram(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """Sum of per-group partials in group order (deterministic reduction).
+def local_mf(g_hat: np.ndarray, y: np.ndarray, groups: int) -> List[np.ndarray]:
+    """Per-group matched-filter partials ``G_b^H y_b``, in group order."""
+    return [np.conj(g_b.T) @ y_b for g_b, y_b in
+            zip(_row_blocks(g_hat, groups), _row_blocks(y, groups))]
 
-    Partial Grams and matched-filter partials aggregate alike, so
-    :func:`aggregate_mf` is this same function.
-    """
+
+def aggregate(partials: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of per-group partials in group order (deterministic reduction)."""
     if not len(partials):
         raise ValueError("nothing to aggregate")
-    acc = partials[0].copy()
-    for part_b in partials[1:]:
-        acc += part_b
-    return acc
-
-
-def local_mf(g_b: np.ndarray, y_b: np.ndarray) -> np.ndarray:
-    """One group's matched-filter partial ``G_b^H y_b``."""
-    return np.conj(np.asarray(g_b).T) @ np.asarray(y_b)
-
-
-aggregate_mf = aggregate_gram
+    return sum(partials[1:], partials[0].copy())
 
 
 @dataclass(frozen=True)
@@ -103,10 +62,17 @@ class InterconnectConfig:
     m: int = 100
 
     def __post_init__(self):
-        if min(self.r_samp, self.n_data, self.n_sub, self.n_cp, self.w_bits, self.m) <= 0:
+        if not min(self.r_samp, self.n_data, self.n_sub, self.n_cp, self.w_bits, self.m) > 0:
             raise ValueError("all interconnect parameters must be positive")
         if self.n_data > self.n_sub:
             raise ValueError("data subcarriers cannot exceed the FFT size")
+        try:
+            finite = all(map(math.isfinite, interconnect_rate(self)))
+        except OverflowError:   # a count too large for a float
+            finite = False
+        if not finite:
+            raise ValueError("r_samp, w_bits and m: the aggregate rate must "
+                             "be finite")
 
 
 def interconnect_rate(cfg: InterconnectConfig) -> Tuple[float, float]:

@@ -72,8 +72,8 @@ class PaModel:
         defaults to the amplitude where the cubic's gain slope hits zero
         and output saturation to the cubic's value there.  ``a_1db`` must
         be positive and ``alpha1`` finite.  Raises ``ValueError`` also
-        where float arithmetic leaves nothing to pin: ``alpha3`` comes out
-        zero (``alpha1`` zero or subnormal, ``a_1db`` infinite), or a
+        where float arithmetic leaves nothing to pin: ``alpha1`` is zero or
+        subnormal, ``alpha3`` comes out zero (``a_1db`` infinite), or a
         square or cube leaves the float range (``a_1db`` tiny or huge).
         """
         if not a_1db > 0:
@@ -82,6 +82,8 @@ class PaModel:
         if not np.isfinite(alpha1):
             raise ValueError(f"linear gain alpha1 must be finite, got {alpha1!r}")
         try:
+            if abs(alpha1) < np.finfo(float).tiny:   # zero or subnormal
+                raise ZeroDivisionError
             alpha3 = (10.0 ** (-1.0 / 20.0) - 1.0) * alpha1 / a_1db ** 2
             a_in = float(np.sqrt(abs(alpha1) / (3.0 * abs(alpha3))))
             a_out = float(abs(alpha1 * a_in + alpha3 * a_in ** 3))

@@ -114,11 +114,9 @@ class SimConfig:
             errs.append("frames: must be positive")
         if not -math.inf < self.pilot_snr_db <= math.inf:
             errs.append("pilot_snr_db: must be finite or +inf (perfect CSI)")
-        if self.coded and known_const:
-            nb = self.coherence_uses * self._bps()
-            if nb % 2 or nb // 2 - TAIL_BITS < 1:
-                errs.append("coherence_uses: block too short for a "
-                            "zero-terminated rate-1/2 codeword")
+        if self.coded and known_const and self.info_bits_per_stream() < 1:
+            errs.append("coherence_uses: block too short for a "
+                        "zero-terminated rate-1/2 codeword")
         for name in ("signal_fraction_bits", "operator_fraction_bits"):
             v = getattr(self, name)
             if v is not None and not 1 <= v <= 24:

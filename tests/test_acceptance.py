@@ -16,15 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import MASTER_SEEDS
-from mimodsp import (InterconnectConfig, PaModel, SimConfig, aggregate_gram,
-                     aggregate_mf, build_nonreciprocal, calibrate,
-                     draw_front_end_set, draw_iid_rayleigh,
-                     exact_inverse_cost, fit_wnsa_weights, gram,
-                     hardening_variance, interconnect_rate, local_gram,
-                     local_mf, mui_db, nsa_inverse, partition, precode,
-                     quantize_adc, run_downlink_evm, run_outage_study,
-                     snr_at_ber, split_rows, stream_rng, table2_cost,
-                     wnsa_inverse)
+from mimodsp import (InterconnectConfig, PaModel, SimConfig, aggregate,
+                     build_nonreciprocal, calibrate, draw_front_end_set,
+                     draw_iid_rayleigh, exact_inverse_cost, fit_wnsa_weights,
+                     gram, hardening_variance, interconnect_rate, local_gram,
+                     local_mf, mui_db, nsa_inverse, precode, quantize_adc,
+                     run_downlink_evm, run_outage_study, snr_at_ber,
+                     stream_rng, table2_cost, wnsa_inverse)
 from mimodsp.link import sim
 from mimodsp.numerics import FixedPointFormat, fxp_quantize
 
@@ -93,11 +91,9 @@ def test_02_decentralized_equals_centralized(acceptance_log):
         k = int(rng.integers(1, min(m, 32) + 1))
         g = draw_iid_rayleigh(m, k, rng)
         y = (rng.standard_normal((m, 4)) + 1j * rng.standard_normal((m, 4)))
-        p = partition(m, b)
-        z = aggregate_gram(local_gram(g, p))
+        z = aggregate(local_gram(g, b))
         z_ref = gram(g)
-        s = aggregate_mf([local_mf(gg, yy)
-                          for gg, yy in zip(split_rows(g, p), split_rows(y, p))])
+        s = aggregate(local_mf(g, y, b))
         s_ref = np.conj(g.T) @ y
         worst = max(worst,
                     np.linalg.norm(z - z_ref) / np.linalg.norm(z_ref),

@@ -234,6 +234,15 @@ class TestRunAnalytic:
                            if not line.startswith("# ")])
         assert bodies[0] == bodies[1]
 
+    def test_ideal_calibration_residual_runs(self, tmp_path):
+        # -.inf is the one residual below -300 dB: calibrate's exact weights
+        cfg = _write_config(tmp_path, dict(_TINY_CALIBRATION,
+                                           residual_error_db=[float("-inf")]))
+        out = str(tmp_path / "calibration.csv")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        _, _, rows = _read_csv(out)
+        assert rows[1] == ["calibrated", "-inf", "-300.0000"]
+
     def test_algorithm_names_are_case_insensitive(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, dict(_TINY_TABLE,
                                            algorithms=["NSA", "chd"]))
@@ -341,11 +350,41 @@ class TestValidationFailures:
         (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
          "algorithms: ('NSA', 'lu') not one of"),
         (dict(_TINY_EVM, pa={"a_1db": float("nan")}),
-         "pa: compression amplitude a_1db must be positive, got nan"),
+         "a_1db: expected a number, got nan"),
         (dict(_TINY_EVM, pa={"alpha1": float("nan")}),
-         "pa: linear gain alpha1 must be finite, got nan"),
+         "alpha1: expected a number, got nan"),
         (dict(_TINY_EVM, pa={"alpha1": float("-inf")}),
          "pa: linear gain alpha1 must be finite, got -inf"),
+        # float keys outside their stated ranges: NaN or overflow reached
+        # the CSV, or the run failed
+        (dict(_TINY_EVM, backoff_db=float("nan")),
+         "backoff_db: expected a number, got nan"),
+        (dict(_TINY_EVM, backoff_db=float("-inf")),
+         "backoff_db: must be at least -60.0"),
+        (dict(_TINY_EVM, backoff_db=-7000.0),
+         "backoff_db: must be at least -60.0"),
+        (dict(_TINY_CALIBRATION, residual_error_db=[float("nan")]),
+         "residual_error_db: expected a number, got nan"),
+        (dict(_TINY_CALIBRATION, residual_error_db=[float("inf")]),
+         "residual_error_db: entries must be at most 60.0"),
+        (dict(_TINY_CALIBRATION, residual_error_db=[7000.0]),
+         "residual_error_db: entries must be at most 60.0"),
+        (dict(_TINY_CALIBRATION, residual_error_db=[-7000.0]),
+         "residual_error_db: entries must be -.inf or at least -300.0"),
+        (dict(_TINY_CALIBRATION, gain_bound_db=float("nan")),
+         "gain_bound_db: expected a number, got nan"),
+        (dict(_TINY_CALIBRATION, gain_bound_db=-3.0),
+         "gain_bound_db: must be at least 0.0"),
+        (dict(_TINY_CALIBRATION, gain_bound_db=1.0e5),
+         "gain_bound_db: must be at most 20.0"),
+        (dict(_TINY_CALIBRATION, phase_bound_deg=float("inf")),
+         "phase_bound_deg: must be at most 180.0"),
+        (dict(_TINY_CALIBRATION, phase_bound_deg=-5.0),
+         "phase_bound_deg: must be at least 0.0"),
+        ({"experiment": "interconnect", "r_samp": float("nan")},
+         "r_samp: expected a number, got nan"),
+        ({"experiment": "interconnect", "r_samp": float("inf")},
+         "r_samp, w_bits and m: the aggregate rate must be finite"),
     ])
     def test_rejected_before_running(self, tmp_path, capsys, payload,
                                      fragment):
@@ -376,8 +415,10 @@ class TestValidationFailures:
         assert not out.exists()
 
     # an amplifier whose alpha3 computes to zero has no compression point;
-    # from_compression_point divides by it, so validation itself raises
+    # from_compression_point divides by it, so validation itself raises.
+    # A subnormal alpha1 left alpha3 nonzero, and the run wrote inf EVM.
     @pytest.mark.parametrize("pa", [{"alpha1": 0.0}, {"alpha1": 5e-324},
+                                    {"alpha1": 2.2e-309},
                                     {"a_1db": 1e-200},
                                     {"a_1db": float("inf")},
                                     {"a_1db": 1e200}])

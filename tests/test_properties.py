@@ -101,6 +101,12 @@ def _sim_keys(draw, *drop):
     return keys
 
 
+def _any_float(inside):
+    """``inside`` (a key's stated range) or any float at all: NaN, +-inf,
+    huge, tiny and negative values included, for validate to refuse."""
+    return inside | st.floats()
+
+
 _FRACTION_BITS = ("signal_fraction_bits", "operator_fraction_bits")
 _VICTIMS = ("victim_fraction", "victim_policy")
 _SIZES = st.integers(1, 8)
@@ -136,7 +142,8 @@ def _raw_outage(draw):
 def _raw_evm_vs_m(draw):
     return dict(experiment="evm_vs_m", m_list=draw(_SIZE_LISTS),
                 k=draw(st.integers(1, 3)), trials=draw(st.integers(1, 2)),
-                uses=draw(_SIZES), backoff_db=draw(st.floats(-10.0, 10.0)),
+                uses=draw(_SIZES),
+                backoff_db=draw(_any_float(st.floats(-60.0, 60.0))),
                 precoder=draw(st.sampled_from(sorted(PRECODERS))),
                 constellation=draw(st.sampled_from(sorted(_ORDERS))),
                 m_ref=draw(_SIZES),
@@ -163,7 +170,7 @@ def _raw_complexity_table(draw):
 @st.composite
 def _raw_interconnect(draw):
     return dict(experiment="interconnect",
-                r_samp=draw(st.floats(1.0, 1e8)),
+                r_samp=draw(_any_float(st.floats(1.0, 1e8))),
                 n_data=draw(st.integers(1, 1200)),
                 n_sub=draw(st.integers(1, 2048)),
                 n_cp=draw(st.integers(0, 200)),
@@ -179,10 +186,12 @@ def _raw_hardening(draw):
 @st.composite
 def _raw_calibration(draw):
     return dict(experiment="calibration", m=draw(_SIZES), k=draw(_SIZES),
-                gain_bound_db=draw(st.floats(0.0, 3.0)),
-                phase_bound_deg=draw(st.floats(0.0, 10.0)),
-                residual_error_db=draw(st.lists(st.floats(-60.0, 0.0),
-                                                min_size=1, max_size=2)),
+                gain_bound_db=draw(_any_float(st.floats(0.0, 20.0))),
+                phase_bound_deg=draw(_any_float(st.floats(0.0, 180.0))),
+                residual_error_db=draw(st.lists(
+                    _any_float(st.floats(-300.0, 60.0)
+                               | st.just(-math.inf)),
+                    min_size=1, max_size=2)),
                 trials=draw(st.integers(1, 2)),
                 precoder=draw(st.sampled_from(sorted(PRECODERS))))
 
@@ -215,3 +224,4 @@ def test_validated_experiment_runs(name, data):
         assert name == "outage" and str(exc).startswith(NO_BASELINE)
         return
     assert rows and all(len(row) == len(header) for row in rows)
+    assert "nan" not in {str(cell).lower() for row in rows for cell in row}
