@@ -35,7 +35,8 @@ from .impairments import PaModel
 from .link import (SimConfig, run_calibration_study, run_downlink_evm,
                    run_outage_study, run_uplink_ber)
 from .link.modem import _ORDERS
-from .link.sim import FAULT_POLICIES, _run_ber, outage_configs
+from .link.sim import (_FLOAT_RANGES, FAULT_POLICIES, _run_ber,
+                       outage_configs)
 
 log = logging.getLogger("mimodsp")
 
@@ -97,6 +98,12 @@ class _Schema:
         for key in sorted(set(self.raw) - self.seen):
             self.errors.append(f"{key}: unknown key for {self.context}")
         self.check()
+
+
+def _bounds(key: str) -> dict:
+    """``take``'s bounds for the float study argument ``key``."""
+    low, high = _FLOAT_RANGES[key]
+    return {"minimum": low, "maximum": high}
 
 
 def _coerce(val, typ):
@@ -238,8 +245,8 @@ def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
     k = s.take("k", int, required=True, minimum=1)
     trials = s.take("trials", int, default=20, minimum=1)
     uses = s.take("uses", int, default=64, minimum=1)
-    backoff = s.take("backoff_db", float, default=0.0, minimum=-60.0,
-                     maximum=60.0)
+    backoff = s.take("backoff_db", float, default=0.0,
+                     **_bounds("backoff_db"))
     precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     constellation = s.take("constellation", str, default="qpsk")
     m_ref = s.take("m_ref", int, minimum=1)
@@ -322,16 +329,16 @@ def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
 def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
     m = s.take("m", int, required=True, minimum=1)
     k = s.take("k", int, required=True, minimum=1)
-    # + 0.0 turns a bound of -0.0 into 0.0, a spread that uniform takes
-    gain = s.take("gain_bound_db", float, default=1.0, minimum=0.0,
-                  maximum=20.0) + 0.0
-    phase = s.take("phase_bound_deg", float, default=5.0, minimum=0.0,
-                   maximum=180.0) + 0.0
+    gain = s.take("gain_bound_db", float, default=1.0,
+                  **_bounds("gain_bound_db"))
+    phase = s.take("phase_bound_deg", float, default=5.0,
+                   **_bounds("phase_bound_deg"))
+    low, high = _FLOAT_RANGES["residual_error_db"]
     residuals = s.take("residual_error_db", Tuple[float, ...],
-                       default=(-40.0,), maximum=60.0)
-    if any(-math.inf < r < -300.0 for r in residuals):
+                       default=(-40.0,), maximum=high)
+    if any(-math.inf < r < low for r in residuals):
         s.errors.append("residual_error_db: entries must be -.inf or "
-                        "at least -300.0")
+                        f"at least {low}")
     trials = s.take("trials", int, default=100, minimum=1)
     precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     if m and k and k > m:

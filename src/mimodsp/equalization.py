@@ -22,10 +22,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._openblas import rank1_update
 from .channel import gram
 from .numerics import (
     FxpOverlay,
-    _quantize_real,
+    _round_steps,
     back_substitute,
     cholesky,
     forward_substitute,
@@ -363,33 +364,57 @@ class UplinkDetector:
         per-realization hardware cost at zero.  Under an overlay the
         channel columns and inverse column energies are rounded once per
         realization, and the residual (held at an automatic-gain scale),
-        the coordinate corrections and the estimates every update.  The
-        residual is updated in place in one buffer; its ``/ agc`` is the
-        multiply by ``1 / agc`` that numpy's complex division does.
+        the coordinate corrections and the estimates every update.
+
+        Under an overlay the residual is held in units of the signal step
+        ``2**-f``, so rounding it is ``rint`` and a clip in place: ``2**f``
+        is folded into the ``1 / agc`` factor of the update and ``2**-f``
+        into the ``agc`` factor of the correlation.  Scaling by a power of
+        two is exact unless a value leaves the normal range, which takes an
+        ``agc`` below ``2**(f - 1022)``; a product that underflows rounds
+        to a zero either way.  Each update is one in-place rank-1 update
+        ``R -= gs_i delta^T`` with ``gs = gq * (2**f / agc)``, a BLAS
+        ``zgeru`` call where the loaded OpenBLAS has one
+        (:func:`~mimodsp._openblas.rank1_update`).  It rounds
+        ``(g s) delta`` where a scale-then-subtract update rounds
+        ``(g delta) s``: float cd moves in its last bits, which depend on
+        the BLAS build.  Under an overlay the two differ by at most an ulp
+        of the range ``2**(total_bits - 1)``, so an output can move only
+        where a value before ``rint`` lies that close to a half step.  A
+        running bound on the residual, grown by ``max|gs_i| max|delta|``
+        each update, skips the range check while no entry can saturate.
 
         Yields the estimate after every coordinate update; it is the same
         array each time, updated in place.
         """
         ov = self.overlay
+        fmt = ov.signal
         gq = self._state["gq"]
         inv_energy = self._state["inv_energy"]
         agc = float(np.sqrt(np.mean(np.abs(yc) ** 2))) or 1.0
-        rbar = np.divide(yc, agc, order="C")
-        buf = np.empty_like(rbar)
-        rv, bv = rbar.view(np.float64), buf.view(np.float64)
-        if ov.signal is not None:
-            _quantize_real(rv, ov.signal)
+        unit = 1.0 if fmt is None else 2.0 ** fmt.fraction_bits
+        resid = np.divide(yc, agc, order="C")
+        rv = resid.view(np.float64)
+        gh = np.conj(gq.T, order="C")
+        gs = np.multiply(gq.T, (1.0 / agc) * unit, order="C")
+        update = rank1_update(resid, gs)
+        if fmt is not None:
+            rv *= unit
+            peak = _round_steps(rv, fmt)
+            gs_peak = np.max(np.abs(gs), axis=1)
         xhat = np.zeros((gq.shape[1], yc.shape[1]), dtype=complex)
         for _ in range(self.cd_sweeps):
             for i in range(gq.shape[1]):
-                corr = np.conj(gq[:, i]) @ rbar * agc - self.noise_var * xhat[i, :]
+                corr = (gh[i] @ resid * (agc / unit)
+                        - self.noise_var * xhat[i, :])
                 delta = ov.q_signal(corr * inv_energy[i])
                 xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
-                np.multiply(gq[:, i, None], delta[None, :], out=buf)
-                bv *= 1.0 / agc
-                np.subtract(rbar, buf, out=rbar)
-                if ov.signal is not None:
-                    _quantize_real(rv, ov.signal)
+                update(i, delta)
+                if fmt is not None:
+                    # no entry grows by more than max|gs_i| max|delta|; the
+                    # factor covers the update's own rounding errors
+                    grown = peak + gs_peak[i] * np.max(np.abs(delta))
+                    peak = _round_steps(rv, fmt, grown * (1 + 2.0 ** -50))
                 yield xhat
 
 

@@ -32,17 +32,16 @@ float sums then do not depend on the host or the split.
 """
 from __future__ import annotations
 
-import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._openblas import thread_calls as _openblas_thread_calls
 from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
 from ..equalization import (DETECTORS, MAX_SERIES_ORDER, N0_FREE_DETECTORS,
                             PRECODERS, build_uplink_detector, precode)
@@ -63,6 +62,11 @@ __all__ = [
 ]
 
 FAULT_POLICIES = ("ignore", "exclude")    # "none": no faults injected
+# Stated ranges of the float study arguments, checked by the studies and
+# read by the CLI's schema; residual_error_db also takes -inf (no error).
+_FLOAT_RANGES = {"backoff_db": (-60.0, 60.0), "gain_bound_db": (0.0, 20.0),
+                 "phase_bound_deg": (0.0, 180.0),
+                 "residual_error_db": (-300.0, 60.0)}
 # Coded rows queued before one Viterbi call: 384 rows of 2048 LLRs are 6 MB.
 _DECODE_ROWS = 384
 
@@ -272,21 +276,6 @@ def _decode_queue(queue: list, n_info: int, errors: np.ndarray) -> None:
     queue.clear()
 
 
-@lru_cache(maxsize=None)
-def _openblas_thread_calls() -> tuple:
-    """(get, set) thread-count calls of each loaded OpenBLAS, found once."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:
-        return ()
-    names = ("openblas_%s_num_threads", "openblas_%s_num_threads64_",
-             "scipy_openblas_%s_num_threads64_")
-    return tuple((getattr(lib, n % "get"), getattr(lib, n % "set"))
-                 for lib in map(ctypes.CDLL, paths) for n in names
-                 if hasattr(lib, n % "get"))
-
-
 @contextmanager
 def _one_blas_thread():
     """One BLAS thread inside the block, the caller's count after it.
@@ -394,6 +383,7 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
         raise ValueError("m_ref: must be positive")
     if precoder.lower() not in PRECODERS:
         raise ValueError(f"precoder: unknown {precoder!r}")
+    backoff_db = _in_range("backoff_db", backoff_db)
     const = Constellation.from_name(constellation)
     out = []
     for m in m_list:
@@ -416,6 +406,16 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
     return tuple(out)
 
 
+def _in_range(name: str, value: float) -> float:
+    """``value`` of the float argument ``name`` if it lies in its stated
+    range, with -0.0 as 0.0 (a spread that uniform draws take)."""
+    low, high = _FLOAT_RANGES[name]
+    if not (low <= value <= high
+            or (name == "residual_error_db" and value == -math.inf)):
+        raise ValueError(f"{name}: {value!r} outside [{low}, {high}]")
+    return value + 0.0
+
+
 def run_calibration_study(m: int, k: int, gain_bound_db: float,
                           phase_bound_deg: float,
                           residuals: Sequence[float], trials: int,
@@ -436,6 +436,9 @@ def run_calibration_study(m: int, k: int, gain_bound_db: float,
         raise ValueError(f"k: {k} users exceed {m} antennas")
     if precoder.lower() not in PRECODERS:
         raise ValueError(f"precoder: unknown {precoder!r}")
+    gain_bound_db = _in_range("gain_bound_db", gain_bound_db)
+    phase_bound_deg = _in_range("phase_bound_deg", phase_bound_deg)
+    residuals = [_in_range("residual_error_db", r) for r in residuals]
 
     def mui(g_for_precoder, downlink):
         return mui_db(downlink.T @ precode(g_for_precoder, precoder))

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from mimodsp import _openblas, equalization
 from mimodsp.channel import draw_iid_rayleigh, gram, stream_rng
 from mimodsp.equalization import (N0_FREE_DETECTORS, NsaDivergenceWarning,
                                   build_uplink_detector, combiner_exact,
                                   fit_wnsa_weights, nsa_inverse, precode,
                                   wnsa_inverse)
-from mimodsp.numerics import FixedPointFormat, FxpOverlay, qrd
+from mimodsp.numerics import FixedPointFormat, FxpOverlay, _round_steps, qrd
 
 
 def _chan(rng, m=64, k=8):
@@ -179,6 +182,29 @@ _CD_OVERLAYS = {
     "2-bit signal": FxpOverlay(FixedPointFormat(4, 2),
                                FixedPointFormat.for_unit_range(8)),
 }
+_CD_FORMATS = {**{f"{b}/{b}": FxpOverlay.from_fraction_bits(b, b)
+                  for b in (4, 8, 12)},
+               "2-bit signal": _CD_OVERLAYS["2-bit signal"]}
+_CD_SHAPES = ((16, 4, 32), (32, 8, 64), (64, 8, 128), (100, 10, 50),
+              (128, 16, 96))
+
+
+def _cd_draw(m, k, n, seed):
+    """Detector input of one draw; odd seeds send symbols at 6x unit power,
+    which push the estimates past +-8, where every format here saturates."""
+    rng = np.random.default_rng([seed, m, k, n])
+    g, x, _ = _sim_problem(rng, m, k, n)
+    noise = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return g, g @ ((1.0, 6.0)[seed % 2] * x) + 0.3 * noise
+
+
+def _assert_float_cd_close(out, ref):
+    # the rank-1 update rounds (g s) delta where the reference rounds
+    # (g delta) / agc: about one ulp of the largest entry per update, and
+    # the sweeps do not amplify it; 200 draws at 32x8x64 stayed under
+    # 3.3e-16 of max|ref|, so 1e-13 leaves two orders of magnitude
+    np.testing.assert_allclose(out, ref, rtol=0,
+                               atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestCd:
@@ -198,7 +224,63 @@ class TestCd:
                         np.max(np.abs(est.view(float))))
             fmt = overlay.signal
             assert reach > (2 ** (fmt.total_bits - 1) - 1) * fmt.step
-        assert np.array_equal(det.detect(y), _cd_out_of_place(det, y))
+            assert np.array_equal(det.detect(y), _cd_out_of_place(det, y))
+        else:
+            _assert_float_cd_close(det.detect(y), _cd_out_of_place(det, y))
+
+    @pytest.mark.parametrize("shape", _CD_SHAPES, ids=str)
+    @pytest.mark.parametrize("overlay", _CD_FORMATS.values(),
+                             ids=_CD_FORMATS.keys())
+    def test_overlay_update_is_exact_on_many_draws(self, overlay, shape):
+        # 4 formats x 5 shapes x 6 seeds = 120 draws at 1 to 3 sweeps: the
+        # residual in signal steps, updated by one rank-1 update, rounds
+        # to the same steps as the scale-then-subtract update
+        for seed in range(6):
+            g, y = _cd_draw(*shape, seed)
+            det = build_uplink_detector(g, "cd", 0.1, overlay=overlay,
+                                        cd_sweeps=1 + seed % 3)
+            assert np.array_equal(det.detect(y), _cd_out_of_place(det, y))
+
+    @pytest.mark.parametrize("overlay", _CD_FORMATS.values(),
+                             ids=_CD_FORMATS.keys())
+    def test_residual_bounds_hold(self, overlay, monkeypatch):
+        # cd skips the residual's range check where a running bound leaves
+        # no room to saturate; every bound it passes in or gets back holds
+        skipped = []
+
+        def checked_round_steps(v, fmt, bound=math.inf):
+            assert np.max(np.abs(v)) <= bound
+            out = _round_steps(v, fmt, bound)
+            assert np.max(np.abs(v)) <= out
+            skipped.append(bound <= 2 ** (fmt.total_bits - 1) - 1)
+            return out
+
+        monkeypatch.setattr(equalization, "_round_steps", checked_round_steps)
+        for shape in _CD_SHAPES:
+            for seed in range(2):
+                g, y = _cd_draw(*shape, seed)
+                build_uplink_detector(g, "cd", 0.1, overlay=overlay,
+                                      cd_sweeps=2).detect(y)
+        assert any(skipped) and not all(skipped)
+
+    @pytest.mark.parametrize("overlay", _CD_OVERLAYS.values(),
+                             ids=_CD_OVERLAYS.keys())
+    def test_numpy_fallback_gives_the_same_estimates(self, overlay,
+                                                     monkeypatch):
+        draws = [_cd_draw(*shape, seed) for shape in _CD_SHAPES[:3]
+                 for seed in range(2)]
+        with_blas = [build_uplink_detector(g, "cd", 0.1, overlay=overlay)
+                     .detect(y) for g, y in draws]
+        monkeypatch.setattr(_openblas, "_zgeru", lambda: None)
+        for (g, y), ref in zip(draws, with_blas):
+            det = build_uplink_detector(g, "cd", 0.1, overlay=overlay)
+            out = det.detect(y)
+            if overlay is None:
+                _assert_float_cd_close(out, ref)
+                _assert_float_cd_close(out, _cd_out_of_place(det, y))
+            else:
+                assert np.array_equal(out, ref)
+                assert np.array_equal(out, _cd_out_of_place(det, y))
 
     def test_converges_to_regularized_solution(self, rng):
         g, _, y = _sim_problem(rng)

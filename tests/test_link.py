@@ -99,13 +99,17 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import test_link as t
 state, out, runs = t._digest_detector_outputs(setattr), Path(sys.argv[2]), {}
-for det in ("cd", "chd"):
+for det, fields in t._THREAD_RUNS.items():
     for workers in (1, 2, 3):
-        cfg = replace(t._BLAS_GEOMETRY, detector=det)
+        cfg = replace(t._BLAS_GEOMETRY, **fields)
         runs[f"{det}{workers}"] = t._digested_run(state, cfg, workers,
                                                   out / f"{det}{workers}")
 print(json.dumps(runs))
 """
+# float cd and chd, and cd at 8/8 bits; both cd runs update in BLAS
+_THREAD_RUNS = {"cd": {"detector": "cd"}, "chd": {"detector": "chd"},
+                "cd8": {"detector": "cd", "signal_fraction_bits": 8,
+                        "operator_fraction_bits": 8}}
 
 
 class TestSimConfigValidation:
@@ -322,7 +326,7 @@ class TestUplinkBerMechanics:
                 [sys.executable, "-c", _THREADS_CHILD, tests, str(out)],
                 capture_output=True, text=True, env=child_env, check=True)
             runs[threads] = json.loads(proc.stdout)
-        for det in ("cd", "chd"):
+        for det in _THREAD_RUNS:
             first = runs[None][f"{det}1"]
             assert any(n_errors for _, _, n_errors, _, _ in first[0])
             for threads in runs:
@@ -719,6 +723,14 @@ class TestDownlinkEvm:
         with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
             run_downlink_evm([8], k=2, pa=PaModel(), precoder="bogus")
 
+    @pytest.mark.parametrize("backoff", [math.nan, -7000.0, -60.5, math.inf])
+    def test_backoff_outside_its_range(self, monkeypatch, backoff):
+        # once a numpy RuntimeWarning (NaN) and an OverflowError (-7000)
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
+        with pytest.raises(ValueError, match="^backoff_db: .* outside "
+                                             r"\[-60.0, 60.0\]"):
+            run_downlink_evm([8], k=2, pa=PaModel(), backoff_db=backoff)
+
 
 class TestCalibrationStudy:
     def test_validation(self, monkeypatch):
@@ -730,6 +742,27 @@ class TestCalibrationStudy:
         with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
             run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=2,
                                   precoder="bogus")
+
+    @pytest.mark.parametrize("field, args", [
+        ("gain_bound_db", (-1.0, 5.0, (-40.0,))),
+        ("gain_bound_db", (math.nan, 5.0, (-40.0,))),
+        ("gain_bound_db", (20.5, 5.0, (-40.0,))),
+        ("phase_bound_deg", (1.0, -5.0, (-40.0,))),
+        ("phase_bound_deg", (1.0, math.inf, (-40.0,))),
+        ("residual_error_db", (1.0, 5.0, (-40.0, math.nan))),
+        ("residual_error_db", (1.0, 5.0, (-301.0,))),
+        ("residual_error_db", (1.0, 5.0, (math.inf,))),
+    ])
+    def test_bounds_outside_their_ranges(self, monkeypatch, field, args):
+        # a negative bound once reached numpy's "high - low < 0"
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            run_calibration_study(4, 2, *args, trials=2)
+
+    def test_negative_zero_bounds_are_zero(self):
+        # uniform draws take a spread of 0.0 but not of -0.0
+        zero = run_calibration_study(4, 2, 0.0, 0.0, (-math.inf,), 2)
+        assert run_calibration_study(4, 2, -0.0, -0.0, (-math.inf,), 2) == zero
 
 
 class TestOutageStudy:
