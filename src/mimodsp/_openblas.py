@@ -14,10 +14,11 @@ from typing import Callable
 
 import numpy as np
 
-# CBLAS names of zgeru, with the C type of their integer arguments
+# CBLAS names of zgeru, with the C type of their integer arguments; the
+# unsuffixed name takes 32- or 64-bit ones as the library was built
 _ZGERU_NAMES = (("scipy_cblas_zgeru64_", ctypes.c_int64),
                 ("cblas_zgeru64_", ctypes.c_int64),
-                ("cblas_zgeru", ctypes.c_int))
+                ("cblas_zgeru", None))
 _ROW_MAJOR = 101                # CblasRowMajor
 _MINUS_ONE = (ctypes.c_double * 2)(-1.0, 0.0)
 
@@ -43,16 +44,36 @@ def thread_calls() -> tuple:
                  if hasattr(lib, n % "get"))
 
 
+def _built_int(lib):
+    """C type of the integer arguments of ``lib``'s unsuffixed CBLAS
+    calls, read from its build configuration, or None where it has none."""
+    if not hasattr(lib, "openblas_get_config"):
+        return None
+    config = lib.openblas_get_config
+    config.restype = ctypes.c_char_p
+    wide = b"USE64BITINT" in config().split()
+    return ctypes.c_int64 if wide else ctypes.c_int
+
+
 @lru_cache(maxsize=None)
 def _zgeru():
-    """The first CBLAS ``zgeru`` of the loaded OpenBLAS, typed, or None."""
+    """The first CBLAS ``zgeru`` of the loaded OpenBLAS, typed, or None.
+
+    An unsuffixed ``cblas_zgeru`` is taken only from a library whose build
+    configuration gives the width of its integers: a wrong width would
+    pass a wrong leading dimension, and the update would write outside
+    the array.
+    """
     for name, blasint in _ZGERU_NAMES:
         for lib in _libraries():
-            if hasattr(lib, name):
+            if not hasattr(lib, name):
+                continue
+            bi = blasint or _built_int(lib)
+            if bi is not None:
                 fn = getattr(lib, name)
                 ptr = ctypes.c_void_p
-                fn.argtypes = (ctypes.c_int, blasint, blasint, ptr, ptr,
-                               blasint, ptr, blasint, ptr, blasint)
+                fn.argtypes = (ctypes.c_int, bi, bi, ptr, ptr, bi, ptr, bi,
+                               ptr, bi)
                 fn.restype = None
                 return fn
     return None

@@ -35,7 +35,7 @@ from .impairments import PaModel
 from .link import (SimConfig, run_calibration_study, run_downlink_evm,
                    run_outage_study, run_uplink_ber)
 from .link.modem import _ORDERS
-from .link.sim import (_FLOAT_RANGES, FAULT_POLICIES, _run_ber,
+from .link.sim import (_FLOAT_RANGES, FAULT_POLICIES, _in_range, _run_ber,
                        outage_configs)
 
 log = logging.getLogger("mimodsp")
@@ -333,12 +333,15 @@ def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
                   **_bounds("gain_bound_db"))
     phase = s.take("phase_bound_deg", float, default=5.0,
                    **_bounds("phase_bound_deg"))
-    low, high = _FLOAT_RANGES["residual_error_db"]
     residuals = s.take("residual_error_db", Tuple[float, ...],
-                       default=(-40.0,), maximum=high)
-    if any(-math.inf < r < low for r in residuals):
-        s.errors.append("residual_error_db: entries must be -.inf or "
-                        f"at least {low}")
+                       default=(-40.0,),
+                       maximum=_FLOAT_RANGES["residual_error_db"][1])
+    for r in residuals:
+        try:
+            _in_range("residual_error_db", r)
+        except ValueError as exc:
+            s.errors.append(str(exc))
+            break
     trials = s.take("trials", int, default=100, minimum=1)
     precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
     if m and k and k > m:

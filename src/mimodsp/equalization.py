@@ -380,9 +380,7 @@ class UplinkDetector:
         ``(g delta) s``: float cd moves in its last bits, which depend on
         the BLAS build.  Under an overlay the two differ by at most an ulp
         of the range ``2**(total_bits - 1)``, so an output can move only
-        where a value before ``rint`` lies that close to a half step.  A
-        running bound on the residual, grown by ``max|gs_i| max|delta|``
-        each update, skips the range check while no entry can saturate.
+        where a value before ``rint`` lies that close to a half step.
 
         Yields the estimate after every coordinate update; it is the same
         array each time, updated in place.
@@ -400,8 +398,7 @@ class UplinkDetector:
         update = rank1_update(resid, gs)
         if fmt is not None:
             rv *= unit
-            peak = _round_steps(rv, fmt)
-            gs_peak = np.max(np.abs(gs), axis=1)
+            _round_steps(rv, fmt)
         xhat = np.zeros((gq.shape[1], yc.shape[1]), dtype=complex)
         for _ in range(self.cd_sweeps):
             for i in range(gq.shape[1]):
@@ -411,10 +408,7 @@ class UplinkDetector:
                 xhat[i, :] = ov.q_signal(xhat[i, :] + delta)
                 update(i, delta)
                 if fmt is not None:
-                    # no entry grows by more than max|gs_i| max|delta|; the
-                    # factor covers the update's own rounding errors
-                    grown = peak + gs_peak[i] * np.max(np.abs(delta))
-                    peak = _round_steps(rv, fmt, grown * (1 + 2.0 ** -50))
+                    _round_steps(rv, fmt)
                 yield xhat
 
 

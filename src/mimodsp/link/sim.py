@@ -408,10 +408,15 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
 
 def _in_range(name: str, value: float) -> float:
     """``value`` of the float argument ``name`` if it lies in its stated
-    range, with -0.0 as 0.0 (a spread that uniform draws take)."""
+    range, with -0.0 as 0.0 (a spread that uniform draws take).  Each
+    entry of residual_error_db may also be -inf, written -.inf in a
+    config: no calibration error."""
     low, high = _FLOAT_RANGES[name]
-    if not (low <= value <= high
-            or (name == "residual_error_db" and value == -math.inf)):
+    if name == "residual_error_db":
+        if not (low <= value <= high or value == -math.inf):
+            raise ValueError(f"{name}: entries must be -.inf or at least "
+                             f"{low} and at most {high}, got {value!r}")
+    elif not low <= value <= high:
         raise ValueError(f"{name}: {value!r} outside [{low}, {high}]")
     return value + 0.0
 

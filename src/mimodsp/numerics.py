@@ -9,7 +9,6 @@ double precision.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -87,25 +86,12 @@ class FixedPointFormat:
         return cls(4 + fraction_bits, fraction_bits)
 
 
-def _round_steps(v: np.ndarray, fmt: FixedPointFormat,
-                 bound: float = math.inf) -> float:
+def _round_steps(v: np.ndarray, fmt: FixedPointFormat) -> None:
     """Round the float64 array ``v``, held in units of ``fmt.step``, to
-    whole steps in ``fmt``'s range, in place; returns a bound on ``|v|``.
-
-    ``bound`` is a known bound on ``|v|`` before rounding; where it is
-    within the range, rounding cannot leave the range, which is then not
-    checked.
-    """
+    whole steps in ``fmt``'s range, in place."""
     np.rint(v, out=v)
     lim = 2 ** (fmt.total_bits - 1) - 1
-    if bound <= lim:
-        return float(round(bound))      # rint is monotone
-    # two read-only reductions cost less than a clip that changes nothing
-    hi, lo = (float(v.max()), float(v.min())) if v.size else (0.0, 0.0)
-    if hi <= lim and lo >= -lim:
-        return max(hi, -lo)
     np.clip(v, -lim, lim, out=v)
-    return float(lim)
 
 
 def _quantize_real(v: np.ndarray, fmt: FixedPointFormat) -> None:

@@ -1,4 +1,7 @@
 """The loaded OpenBLAS: thread calls, zgeru and the rank-1 update."""
+import ctypes
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,43 @@ def test_zgeru_found_wherever_thread_calls_are():
     assert sim._openblas_thread_calls() == _openblas.thread_calls()
     if _openblas.thread_calls():
         assert _openblas._zgeru() is not None
+
+
+def _fake_library(config=None, **symbols):
+    lib = SimpleNamespace(**{name: (lambda *args: None) for name in symbols})
+    if config is not None:
+        lib.openblas_get_config = lambda: config
+    return lib
+
+
+@pytest.mark.parametrize("config, blasint", [
+    (b"OpenBLAS 0.3.26  DYNAMIC_ARCH NO_AFFINITY Haswell MAX_THREADS=64",
+     ctypes.c_int),
+    (b"OpenBLAS 0.3.26  USE64BITINT DYNAMIC_ARCH Haswell MAX_THREADS=64",
+     ctypes.c_int64),
+    (None, None),
+], ids=["lp64", "ilp64", "no config"])
+def test_unsuffixed_zgeru_takes_the_built_integer_width(monkeypatch, config,
+                                                        blasint):
+    # an ILP64 build may export unsuffixed names; without its config the
+    # width is unknown, and cd's update stays in numpy
+    lib = _fake_library(config, cblas_zgeru=True)
+    monkeypatch.setattr(_openblas, "_libraries", lambda: (lib,))
+    fn = _openblas._zgeru.__wrapped__()
+    if blasint is None:
+        assert fn is None
+    else:
+        assert fn is lib.cblas_zgeru
+        assert fn.argtypes[1:3] == (blasint, blasint)
+        assert fn.argtypes[5::2] == (blasint,) * 3
+
+
+def test_suffixed_zgeru_is_preferred_and_64_bit(monkeypatch):
+    lib = _fake_library(b"OpenBLAS", cblas_zgeru=True, cblas_zgeru64_=True)
+    monkeypatch.setattr(_openblas, "_libraries", lambda: (lib,))
+    fn = _openblas._zgeru.__wrapped__()
+    assert fn is lib.cblas_zgeru64_
+    assert fn.argtypes[1] is ctypes.c_int64
 
 
 @pytest.mark.parametrize("blas", [True, False], ids=["zgeru", "numpy"])
