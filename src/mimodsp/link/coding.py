@@ -21,6 +21,13 @@ A coded bit ``c`` with LLR ``l`` (positive favours 0) adds
 into buffers made once per call: ``m[0::2] + [x; -x]``, ``m[1::2] - [x; -x]``,
 their maximum and ``>``.  One ``take`` gathers ``[x; -x]`` for a block
 of steps, sized by ``_BLOCK_BYTES`` to stay in cache at any batch.
+
+Traceback reads the survivor decisions back a block of steps at a time,
+from the end, as hardware decoders read their survivor memory (Rader,
+IEEE Trans. Commun. 1981).  State ``s`` with decision ``d`` came from
+``((s & 31) << 1) | d``, so unpacking a block's decisions and OR-ing in
+each state's ``(s & 31) << 1`` gives a table of previous states, and each
+step is one gather.  The info bit of a step is the MSB of its state.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ _GENERATORS = (0o171, 0o133)
 TAIL_BITS = 6
 _HALF = 1 << (TAIL_BITS - 1)     # butterflies per step: half the 64 states
 _NEG = -1e30    # effectively -inf path metric without producing NaNs
-_BLOCK_BYTES = 1 << 18  # branch metrics gathered at once: stays in cache
+_BLOCK_BYTES = 1 << 18  # per block of steps, metrics or traceback: in cache
 
 
 def _row(j: int) -> int:
@@ -44,6 +51,9 @@ def _row(j: int) -> int:
 
 _ROW = np.array([_row(j) for j in range(_HALF)])
 _ROW2 = np.stack((_ROW, _ROW ^ 2))      # rows of x_j and of -x_j
+# state s's predecessor, less its decision bit, as a column: (s & 31) << 1
+_PREV_BASE = ((np.arange(2 * _HALF, dtype=np.uint8) & (_HALF - 1))
+              << 1)[:, None]
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -72,7 +82,10 @@ def viterbi_decode(llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
     negation is exact and IEEE defines ``a - x`` as ``a + (-x)``, so max and
     the strict ``>`` see the same values and ties keep the even predecessor.
     Each step's decisions are packed eight codewords to a byte, 8 bytes per
-    codeword.  Traceback starts in the zero state, matching the tail.
+    codeword.  Traceback starts in the zero state, matching the tail, and
+    unpacks one block of steps at a time into a uint8 (steps, 64, batch)
+    table of at most ``_BLOCK_BYTES``.  Returns a C-ordered uint8
+    (batch, n_info) array, or (n_info,) for one codeword.
     """
     arr = np.asarray(llrs, dtype=np.float64)
     rows = np.atleast_2d(arr)
@@ -112,14 +125,19 @@ def viterbi_decode(llrs: np.ndarray, n_info: int | None = None) -> np.ndarray:
             np.maximum(stay2, flip2, out=metrics)
             np.greater(flip2, stay2, out=flags[i])
         decisions[t:t + n] = np.packbits(flags[:n], axis=2, bitorder="little")
-    # traceback from the all-zero terminating state
+    # traceback from the all-zero terminating state; path[t] holds the
+    # state after step t, one uint8 per codeword
     states = np.zeros(b, dtype=np.intp)
     cols = np.arange(b)
-    byte, bit = cols >> 3, cols & 7
-    out = np.empty((b, t_steps), dtype=np.uint8)
-    for step in range(t_steps - 1, -1, -1):
-        out[:, step] = states >> (TAIL_BITS - 1)
-        d = (decisions[step, states, byte] >> bit) & 1
-        states = ((states & (_HALF - 1)) << 1) | d
-    out = out[:, :n_info]
+    path = np.empty((t_steps, b), dtype=np.uint8)
+    block = max(1, _BLOCK_BYTES // (2 * _HALF * max(b, 1)))  # uint8 table
+    for hi in range(t_steps, 0, -block):      # hi: one past the block's end
+        lo = max(0, hi - block)
+        prev = np.unpackbits(decisions[lo:hi], axis=2, count=b,
+                             bitorder="little")
+        prev |= _PREV_BASE
+        for i in range(hi - lo - 1, -1, -1):
+            path[lo + i] = states
+            states = prev[i, states, cols]
+    out = np.right_shift(path[:n_info].T, TAIL_BITS - 1, order="C")
     return out[0] if arr.ndim == 1 else out

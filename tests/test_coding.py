@@ -153,8 +153,9 @@ def _pin_inputs(rows=48, n_info=250):
 
 
 # decoded bits recorded from the gathered add-compare-select decoder that
-# the butterfly replaced (the first three cases), and from the butterfly
-# that allocated per step (the rest): bit errors and a digest of the output
+# the butterfly replaced (the first three cases), from the butterfly that
+# allocated per step (the next four) and from the traceback that gathered
+# one decision bit per step (the rest): bit errors and a digest of the output
 @pytest.mark.parametrize("case, n_errors, digest", [
     ("noisy", 445, "2a5fbe91570bc399"),
     ("integer", 519, "c48aae4a37092bf7"),    # rounded LLRs: many exact ties
@@ -164,10 +165,14 @@ def _pin_inputs(rows=48, n_info=250):
     ("batch399", 18432, "4f1e35ff48cdc699"),    # one-step blocks
     ("zeros", 5941, "ff6698a6e831ffcf"),        # every comparison ties
     ("negative_zeros", 5941, "ff6698a6e831ffcf"),
+    ("batch64", 2869, "6c1fc8c049530ae0"),      # the benchmark's call
+    ("short", 112, "60c7a7fb5ecd6664"),         # 46 steps: under one block
 ])
 def test_decoded_bits_pinned(case, n_errors, digest):
     if case.startswith("batch"):
         bits, llrs = _pin_inputs(int(case[5:]), 1018)
+    elif case == "short":
+        bits, llrs = _pin_inputs(n_info=40)
     else:
         bits, llrs = _pin_inputs()
     if case == "integer":
@@ -182,3 +187,75 @@ def test_decoded_bits_pinned(case, n_errors, digest):
     assert decoded.shape == bits.shape
     assert int(np.count_nonzero(decoded != bits)) == n_errors
     assert hashlib.sha256(decoded.tobytes()).hexdigest()[:16] == digest
+
+
+def _reference_decode(llrs, n_info=None):
+    """The decoder as it was before the block traceback: the same forward
+    pass, then one packed decision bit gathered per step."""
+    half = 32
+    arr = np.asarray(llrs, dtype=np.float64)
+    rows = np.atleast_2d(arr)
+    b, width = rows.shape
+    t_steps = width // 2
+    if n_info is None:
+        n_info = t_steps - TAIL_BITS
+    l0, l1 = rows[:, 0::2].T, rows[:, 1::2].T
+    pq = np.empty((t_steps, 2, b))
+    np.add(l0, l1, out=pq[:, 0])
+    np.subtract(l0, l1, out=pq[:, 1])
+    pq *= 0.5
+    metrics = np.full((2 * half, b), -1e30)
+    metrics[0] = 0.0
+    even, odd = metrics[0::2], metrics[1::2]
+    stay, flip = np.empty((2, 2, half, b))
+    stay2, flip2 = stay.reshape(2 * half, b), flip.reshape(2 * half, b)
+    block = max(1, (1 << 18) // (2 * half * 8 * max(b, 1)))
+    pm = np.empty((block, 4, b))
+    x = np.empty((block, 2, half, b))
+    flags = np.empty((block, 2 * half, b), dtype=bool)
+    decisions = np.empty((t_steps, 2 * half, (b + 7) // 8), dtype=np.uint8)
+    for t in range(0, t_steps, block):
+        n = min(block, t_steps - t)
+        pm[:n, :2] = pq[t:t + n]
+        np.negative(pm[:n, :2], out=pm[:n, 2:])
+        np.take(pm[:n], np.stack((_ROW, _ROW ^ 2)), axis=1, out=x[:n],
+                mode="clip")
+        for i in range(n):
+            np.add(even, x[i], out=stay)
+            np.subtract(odd, x[i], out=flip)
+            np.maximum(stay2, flip2, out=metrics)
+            np.greater(flip2, stay2, out=flags[i])
+        decisions[t:t + n] = np.packbits(flags[:n], axis=2, bitorder="little")
+    states = np.zeros(b, dtype=np.intp)
+    cols = np.arange(b)
+    byte, bit = cols >> 3, cols & 7
+    out = np.empty((b, t_steps), dtype=np.uint8)
+    for step in range(t_steps - 1, -1, -1):
+        out[:, step] = states >> (TAIL_BITS - 1)
+        d = (decisions[step, states, byte] >> bit) & 1
+        states = ((states & (half - 1)) << 1) | d
+    out = out[:, :n_info]
+    return out[0] if arr.ndim == 1 else out
+
+
+# a traceback block holds 4096 // batch steps: 64 at 64 rows, 10 at 399;
+# info lengths 57, 58 and 59 give 63, 64 and 65 steps
+@pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 63, 64, 65, 399])
+def test_block_traceback_matches_reference(batch):
+    rng = np.random.default_rng(batch)
+    for n_info in (1, 57, 58, 59, 121):
+        bits = rng.integers(0, 2, size=(batch, n_info)).astype(np.uint8)
+        coded = conv_encode(bits)
+        noisy = 2.0 * (1.0 - 2.0 * coded) + 1.8 * rng.standard_normal(
+            coded.shape)
+        for llrs in (noisy, np.rint(noisy), np.zeros_like(noisy),
+                     np.full_like(noisy, -0.0)):
+            for n_out in (None, (n_info + 1) // 2):
+                got = viterbi_decode(llrs, n_out)
+                assert got.dtype == np.uint8 and got.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    got, _reference_decode(llrs, n_out), strict=True)
+        if batch:
+            np.testing.assert_array_equal(viterbi_decode(noisy[0]),
+                                          _reference_decode(noisy[0]),
+                                          strict=True)

@@ -110,6 +110,35 @@ print(json.dumps(runs))
 _THREAD_RUNS = {"cd": {"detector": "cd"}, "chd": {"detector": "chd"},
                 "cd8": {"detector": "cd", "signal_fraction_bits": 8,
                         "operator_fraction_bits": 8}}
+# the same runs at workers=1 under another BLAS kernel: argv[2] is "zgeru"
+# for the kernel OPENBLAS_CORETYPE picks, "numpy" for the rank-1 update's
+# numpy fallback; prints the BerPoints
+_KERNEL_CHILD = """
+import json, sys
+from dataclasses import replace
+sys.path.insert(0, sys.argv[1])
+import test_link as t
+from mimodsp import _openblas
+if sys.argv[2] == "numpy":
+    _openblas._zgeru = lambda: None
+print(json.dumps({det: t.run_uplink_ber(replace(t._BLAS_GEOMETRY, **fields)
+                                        ).points
+                  for det, fields in t._THREAD_RUNS.items()}))
+"""
+
+
+def _blas_cores():
+    """OPENBLAS_CORETYPE values this CPU runs, by the flag each one needs:
+    Haswell AVX2, Prescott SSE3 ("pni"); none where the flags are unread."""
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return ()
+    flags = {flag for line in text.splitlines()
+             if line.startswith("flags") for flag in line.split()}
+    return tuple(core for core, flag in (("Haswell", "avx2"),
+                                         ("Prescott", "pni"))
+                 if flag in flags)
 
 
 class TestSimConfigValidation:
@@ -309,11 +338,13 @@ class TestUplinkBerMechanics:
 
     def test_results_do_not_depend_on_blas_threads_or_workers(self, tmp_path):
         # BerPoints and every detector output at workers 1, 2 and 3, with
-        # OPENBLAS_NUM_THREADS unset, 1 and 2, each in a fresh interpreter
+        # OPENBLAS_NUM_THREADS unset, 1 and 2, each in a fresh interpreter;
+        # then BerPoints alone under other OpenBLAS kernels and without
+        # zgeru, whose float outputs differ in the last bits
         tests = str(Path(__file__).resolve().parent)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {key: val for key, val in os.environ.items()
-               if key != "OPENBLAS_NUM_THREADS"}
+               if key not in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [src, env.get("PYTHONPATH")]))
         runs = {}
@@ -332,6 +363,17 @@ class TestUplinkBerMechanics:
             for threads in runs:
                 for workers in (1, 2, 3):
                     assert runs[threads][f"{det}{workers}"] == first
+        kernels = [(None, "numpy")] + [(core, "zgeru")
+                                       for core in _blas_cores()]
+        for core, rank1 in kernels:
+            child_env = dict(env, **({} if core is None
+                                     else {"OPENBLAS_CORETYPE": core}))
+            proc = subprocess.run(
+                [sys.executable, "-c", _KERNEL_CHILD, tests, rank1],
+                capture_output=True, text=True, env=child_env, check=True)
+            points = json.loads(proc.stdout)
+            for det in _THREAD_RUNS:
+                assert points[det] == runs[None][f"{det}1"][0], (core, rank1)
 
     def test_caller_blas_thread_count_is_restored(self, monkeypatch):
         # one thread inside run_uplink_ber, the caller's count after it
