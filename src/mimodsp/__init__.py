@@ -19,10 +19,10 @@ from .impairments import (CircuitErrorModel, FrontEndSet, PaModel,
                           build_nonreciprocal, calibrate, draw_front_end_set,
                           draw_victims, evm_db, inject_errors, mui_db,
                           pa_apply, quantize_adc)
-from .link import (BerResult, Constellation, SimConfig, conv_encode, demap_hard,
-                   demap_soft, map_bits, run_calibration_study,
-                   run_downlink_evm, run_outage_study, run_uplink_ber,
-                   snr_at_ber, viterbi_decode)
+from .link import (BerResult, CalibrationConfig, Constellation, EvmConfig,
+                   SimConfig, conv_encode, demap_hard, demap_soft, map_bits,
+                   run_calibration_study, run_downlink_evm, run_outage_study,
+                   run_uplink_ber, snr_at_ber, viterbi_decode)
 from .numerics import (FixedPointFormat, FxpOverlay, GivensRotation,
                        NonPositivePivotError, ZeroDiagonalError,
                        back_substitute, cholesky, forward_substitute,

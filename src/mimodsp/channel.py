@@ -2,7 +2,7 @@
 channel hardening."""
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Union
 
 import numpy as np
 
@@ -65,12 +65,27 @@ def gram(g: np.ndarray) -> np.ndarray:
     return np.conj(g.T) @ g
 
 
+def _count_errors(**counts) -> List[str]:
+    """``"<name>: must be at least 1"`` for each count below 1 (``entries
+    must``, for a tuple of counts); None passes.  Shared by the studies."""
+    errs = []
+    for name, n in counts.items():
+        many = isinstance(n, tuple)
+        if n is not None and min(n if many else (n,), default=1) < 1:
+            errs.append(f"{name}: {'entries ' if many else ''}"
+                        "must be at least 1")
+    return errs
+
+
 def hardening_variance(m: int, trials: int, rng: RngLike) -> float:
     """Sample variance of ``||g||^2 / m`` over single-user channel draws.
 
     For i.i.d. CN(0, 1) entries the statistic concentrates at 1 with
     variance ``1 / m``, which is the usual channel-hardening yardstick.
     """
+    errs = _count_errors(m=m, trials=trials)
+    if errs:
+        raise ValueError("; ".join(errs))
     r = as_rng(rng)
     vals = np.empty(trials)
     for t in range(trials):

@@ -10,8 +10,9 @@ failure.
 Every key, the top-level ``seed``, ``output`` and ``workers`` included,
 is read by one typed reader: unknown keys are rejected, ``null`` is
 accepted only for ``Optional`` keys, and a dataclass section (``SimConfig``,
-``InterconnectConfig``) takes its keys, types and defaults from its fields.
-An explicit ``--workers`` overrides the config's ``workers``.
+``EvmConfig`` ...) takes its keys, types and defaults from its fields and
+its rules from its ``validate``.  An explicit ``--workers`` overrides the
+config's ``workers``.
 """
 from __future__ import annotations
 
@@ -27,15 +28,13 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
 import yaml
 
 from . import __version__
-from .channel import hardening_variance, stream_rng
-from .complexity import ALGORITHMS, ITERATIVE, table2_cost
+from .channel import _count_errors, hardening_variance, stream_rng
+from .complexity import CostTableConfig, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
-from .equalization import PRECODERS
 from .impairments import PaModel
 from .link import (SimConfig, run_calibration_study, run_downlink_evm,
                    run_outage_study, run_uplink_ber)
-from .link.modem import _ORDERS
-from .link.sim import (_FLOAT_RANGES, FAULT_POLICIES, _in_range, _run_ber,
+from .link.sim import (CalibrationConfig, EvmConfig, _run_ber,
                        outage_configs)
 
 log = logging.getLogger("mimodsp")
@@ -58,10 +57,8 @@ class _Schema:
         self.errors: List[str] = []
         self.seen = set()
 
-    def take(self, key, typ, default=None, required=False, choices=None,
-             minimum=None, maximum=None):
-        """``key`` read as ``typ``; ``default`` when absent or invalid.
-        Names with ``choices``, one or a tuple, are returned in lower case."""
+    def take(self, key, typ, default=None, required=False):
+        """``key`` read as ``typ``; ``default`` when absent or invalid."""
         self.seen.add(key)
         if key not in self.raw:
             if required:
@@ -72,23 +69,7 @@ class _Schema:
         except TypeError as exc:
             self.errors.append(f"{key}: {exc}")
             return default
-        many = isinstance(val, tuple)
-        vals = val if many else (val,)
-        if minimum is not None and any(v < minimum for v in vals):
-            self.errors.append(f"{key}: {'entries ' if many else ''}"
-                               f"must be at least {minimum}")
-            return default
-        if maximum is not None and any(v > maximum for v in vals):
-            self.errors.append(f"{key}: {'entries ' if many else ''}"
-                               f"must be at most {maximum}")
-            return default
-        if choices is None:
-            return val
-        names = tuple(v.lower() for v in vals)
-        if any(n not in choices for n in names):
-            self.errors.append(f"{key}: {val!r} not one of {sorted(choices)}")
-            return default
-        return names if many else names[0]
+        return val
 
     def check(self):
         if self.errors:
@@ -98,12 +79,6 @@ class _Schema:
         for key in sorted(set(self.raw) - self.seen):
             self.errors.append(f"{key}: unknown key for {self.context}")
         self.check()
-
-
-def _bounds(key: str) -> dict:
-    """``take``'s bounds for the float study argument ``key``."""
-    low, high = _FLOAT_RANGES[key]
-    return {"minimum": low, "maximum": high}
 
 
 def _coerce(val, typ):
@@ -144,11 +119,8 @@ def _read(s: _Schema, cls, **fixed):
             if val is not MISSING:
                 kwargs[f.name] = val
     s.finish()
-    try:
-        cfg = cls(**kwargs)
-        getattr(cfg, "validate", lambda: None)()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = cls(**kwargs)
+    getattr(cfg, "validate", lambda: None)()
     return cfg
 
 
@@ -219,15 +191,12 @@ def _build_fxp_sweep(s: _Schema, seed: int, workers: int) -> Callable:
 def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
     fractions = s.take("fractions", Tuple[float, ...], default=(),
                        required=True)
-    policy = s.take("policy", str, required=True, choices=FAULT_POLICIES)
+    policy = s.take("policy", str, required=True)
     target = s.take("target_ber", float, required=True)
     # the study sets the victims itself
     cfg = _read(s, SimConfig, seed=seed, victim_policy="none",
                 victim_fraction=0.0)
-    try:
-        outage_configs(cfg, fractions, policy, target)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    outage_configs(cfg, fractions, policy, target)
 
     def run():
         res = run_outage_study(cfg, fractions, policy, target,
@@ -241,59 +210,35 @@ def _build_outage(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_evm_vs_m(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take("m_list", Tuple[int, ...], required=True)
-    k = s.take("k", int, required=True, minimum=1)
-    trials = s.take("trials", int, default=20, minimum=1)
-    uses = s.take("uses", int, default=64, minimum=1)
-    backoff = s.take("backoff_db", float, default=0.0,
-                     **_bounds("backoff_db"))
-    precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
-    constellation = s.take("constellation", str, default="qpsk")
-    m_ref = s.take("m_ref", int, minimum=1)
     ps = _Schema(s.take("pa", dict, default={}), "pa")
     a_1db = ps.take("a_1db", float, default=1.0)
     alpha1 = ps.take("alpha1", float, default=1.0)
     ps.finish()
-    if constellation.lower() not in _ORDERS:
-        s.errors.append(f"constellation: unknown {constellation!r}")
-    if m_list and k and any(m < k for m in m_list):
-        s.errors.append("m_list: entries must be >= k")
     try:
         pa = PaModel.from_compression_point(a_1db, alpha1)
     except ValueError as exc:
         s.errors.append(f"pa: {exc}")
+    cfg = _read(s, EvmConfig, seed=seed)
 
     def run():
-        points = run_downlink_evm(m_list, k, pa, trials=trials, uses=uses,
-                                  backoff_db=backoff, precoder=precoder,
-                                  constellation=constellation, m_ref=m_ref,
-                                  seed=seed)
+        points = run_downlink_evm(cfg, pa)
         return ("m", "evm_db"), [(p.m, f"{p.evm_db:.4f}") for p in points]
 
     return run
 
 
 def _build_complexity_table(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", int, required=True, minimum=1)
-    k_list = s.take("k_list", Tuple[int, ...], required=True, minimum=1)
-    order = s.take("nsa_order", int, default=3)
-    uses = s.take("coherence_uses", int, default=512, minimum=1)
-    algos = s.take("algorithms", Tuple[str, ...], default=ALGORITHMS,
-                   choices=ALGORITHMS)
-    iterative = sorted(set(ITERATIVE) & set(algos))
-    if iterative and order < 1:
-        s.errors.append(f"nsa_order: {iterative} need at least 1")
-    if m and k_list and any(k > m for k in k_list):
-        s.errors.append("k_list: entries must not exceed m")
+    cfg = _read(s, CostTableConfig)
 
     def run():
         rows = []
-        for k in k_list:
-            for alg in algos:
-                cost = table2_cost(alg, m, k, l=order)
-                rows.append((alg, m, k, order, uses,
-                             int(cost.per_realization), int(cost.per_use),
-                             int(cost.total(uses))))
+        for k in cfg.k_list:
+            for alg in cfg.algorithms:
+                cost = table2_cost(alg, cfg.m, k, l=cfg.nsa_order)
+                rows.append((alg.lower(), cfg.m, k, cfg.nsa_order,
+                             cfg.coherence_uses, int(cost.per_realization),
+                             int(cost.per_use),
+                             int(cost.total(cfg.coherence_uses))))
         return ("algorithm", "m", "k", "nsa_order", "coherence_uses",
                 "per_realization", "per_use", "total"), rows
 
@@ -312,8 +257,9 @@ def _build_interconnect(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
-    m_list = s.take("m_list", Tuple[int, ...], required=True, minimum=1)
-    trials = s.take("trials", int, default=10000, minimum=1)
+    m_list = s.take("m_list", Tuple[int, ...], required=True)
+    trials = s.take("trials", int, default=10000)
+    s.errors += _count_errors(m_list=m_list, trials=trials)
 
     def run():
         rows = []
@@ -327,32 +273,13 @@ def _build_hardening(s: _Schema, seed: int, workers: int) -> Callable:
 
 
 def _build_calibration(s: _Schema, seed: int, workers: int) -> Callable:
-    m = s.take("m", int, required=True, minimum=1)
-    k = s.take("k", int, required=True, minimum=1)
-    gain = s.take("gain_bound_db", float, default=1.0,
-                  **_bounds("gain_bound_db"))
-    phase = s.take("phase_bound_deg", float, default=5.0,
-                   **_bounds("phase_bound_deg"))
-    residuals = s.take("residual_error_db", Tuple[float, ...],
-                       default=(-40.0,),
-                       maximum=_FLOAT_RANGES["residual_error_db"][1])
-    for r in residuals:
-        try:
-            _in_range("residual_error_db", r)
-        except ValueError as exc:
-            s.errors.append(str(exc))
-            break
-    trials = s.take("trials", int, default=100, minimum=1)
-    precoder = s.take("precoder", str, default="zf", choices=PRECODERS)
-    if m and k and k > m:
-        s.errors.append(f"k: {k} users exceed {m} antennas")
+    cfg = _read(s, CalibrationConfig, seed=seed)
 
     def run():
-        raw, cal = run_calibration_study(m, k, gain, phase, residuals, trials,
-                                         precoder=precoder, seed=seed)
+        raw, cal = run_calibration_study(cfg)
         rows = [("uncalibrated", "", f"{raw:.4f}")]
         rows.extend(("calibrated", r, f"{c:.4f}")
-                    for r, c in zip(residuals, cal))
+                    for r, c in zip(cfg.residual_error_db, cal))
         return ("label", "residual_error_db", "median_mui_db"), rows
 
     return run
@@ -392,8 +319,12 @@ def build_experiment(raw: dict, seed_override: Optional[int] = None,
 
     An explicit ``workers`` overrides the config's ``workers`` key."""
     s = _Schema(raw, "config")
-    name = s.take("experiment", str, required=True, choices=_BUILDERS)
+    name = s.take("experiment", str, required=True)
+    if name is not None and name.lower() not in _BUILDERS:
+        s.errors.append(f"experiment: {name!r} not one of "
+                        f"{sorted(_BUILDERS)}")
     s.check()
+    name = name.lower()
     s.context = f"experiment {name}"
     seed = s.take("seed", int, default=0)
     if seed_override is not None:
@@ -401,8 +332,12 @@ def build_experiment(raw: dict, seed_override: Optional[int] = None,
     out_name = s.take("output", str, default=f"{name}.csv")
     if workers is not None:   # the override replaces the key, check and all
         s.raw["workers"] = workers
-    workers = s.take("workers", int, default=1, minimum=1)
-    runner = _BUILDERS[name](s, seed, workers)
+    workers = s.take("workers", int, default=1)
+    s.errors.extend(_count_errors(workers=workers))
+    try:
+        runner = _BUILDERS[name](s, seed, workers)
+    except ValueError as exc:   # a library config's or study's rules
+        raise ConfigError(str(exc)) from None
     s.finish()
     echo = {k: v for k, v in raw.items()
             if k not in ("experiment", "seed", "output", "workers")}

@@ -22,6 +22,11 @@ __all__ = ["Constellation", "map_bits", "demap_hard", "demap_soft"]
 _ORDERS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
 
 
+def _constellation_errors(name: str) -> list:
+    return ([] if name.lower() in _ORDERS
+            else [f"constellation: unknown {name!r}"])
+
+
 @dataclass(frozen=True)
 class Constellation:
     """Unit-average-power square QAM with Gray labeling."""
@@ -32,9 +37,10 @@ class Constellation:
 
     @classmethod
     def from_name(cls, name: str) -> "Constellation":
+        errs = _constellation_errors(name)
+        if errs:
+            raise ValueError(errs[0])
         key = name.lower()
-        if key not in _ORDERS:
-            raise ValueError(f"unknown constellation {name!r}")
         bps = _ORDERS[key]
         # odd integer amplitude per Gray axis label, +max at Gray rank 0
         n = 1 << (bps // 2)

@@ -37,12 +37,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._openblas import thread_calls as _openblas_thread_calls
-from ..channel import draw_iid_rayleigh, estimate_ls, stream_rng
+from ..channel import _count_errors, draw_iid_rayleigh, estimate_ls, stream_rng
 from ..equalization import (DETECTORS, MAX_SERIES_ORDER, N0_FREE_DETECTORS,
                             PRECODERS, build_uplink_detector, precode)
 from ..impairments import (FAULT_MODES, PaModel, build_nonreciprocal,
@@ -51,24 +51,48 @@ from ..impairments import (FAULT_MODES, PaModel, build_nonreciprocal,
                            stick_victims)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
-from .modem import (_ORDERS, Constellation, _axis_labels, _nearest_labels,
-                    demap_soft, map_bits)
+from .modem import (_ORDERS, Constellation, _axis_labels,
+                    _constellation_errors, _nearest_labels, demap_soft,
+                    map_bits)
 
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
-    "EvmPoint", "run_downlink_evm", "run_calibration_study",
-    "FAULT_POLICIES", "OutagePoint", "OutageResult", "outage_configs",
-    "run_outage_study", "snr_at_ber",
+    "EvmConfig", "EvmPoint", "run_downlink_evm", "CalibrationConfig",
+    "run_calibration_study", "FAULT_POLICIES", "OutagePoint", "OutageResult",
+    "outage_configs", "run_outage_study", "snr_at_ber",
 ]
 
 FAULT_POLICIES = ("ignore", "exclude")    # "none": no faults injected
-# Stated ranges of the float study arguments, checked by the studies and
-# read by the CLI's schema; residual_error_db also takes -inf (no error).
-_FLOAT_RANGES = {"backoff_db": (-60.0, 60.0), "gain_bound_db": (0.0, 20.0),
-                 "phase_bound_deg": (0.0, 180.0),
-                 "residual_error_db": (-300.0, 60.0)}
 # Coded rows queued before one Viterbi call: 384 rows of 2048 LLRs are 6 MB.
 _DECODE_ROWS = 384
+
+
+def _array_errors(m: int, k: int) -> List[str]:
+    """The errors of an array of ``m`` antennas serving ``k`` users."""
+    errs = _count_errors(m=m, k=k)
+    if k > m:
+        errs.append(f"k: {k} users exceed {m} antennas")
+    return errs
+
+
+def _precoder_errors(precoder: str) -> List[str]:
+    return ([] if precoder.lower() in PRECODERS else
+            [f"precoder: {precoder!r} not one of {sorted(PRECODERS)}"])
+
+
+def _range_errors(name: str, low: float, high: float,
+                  *values: float) -> List[str]:
+    """The error of float argument ``name`` if a value lies outside its
+    stated range [low, high] (NaN does); residual_error_db entries may be
+    -inf, written -.inf in a config: no calibration error."""
+    entries = "entries " if name == "residual_error_db" else ""
+    floor = "-.inf or at least" if entries else "at least"
+    for v in values:
+        if v > high:
+            return [f"{name}: {entries}must be at most {high}, got {v!r}"]
+        if not (v >= low or entries and v == -math.inf):
+            return [f"{name}: {entries}must be {floor} {low}, got {v!r}"]
+    return []
 
 
 @dataclass
@@ -96,29 +120,20 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        errs = []
-        if self.m < 1:
-            errs.append("m: need at least one antenna")
-        if self.k < 1:
-            errs.append("k: need at least one user")
-        if self.k > self.m:
-            errs.append(f"k: {self.k} users exceed {self.m} antennas")
+        errs = _array_errors(self.m, self.k) + _count_errors(
+            coherence_uses=self.coherence_uses, frames=self.frames,
+            adc_bits=self.adc_bits, cd_sweeps=self.cd_sweeps)
         if not self.snr_db:
             errs.append("snr_db: empty grid")
         elif not all(math.isfinite(s) for s in self.snr_db):
             errs.append("snr_db: entries must be finite")
-        known_const = self.constellation.lower() in _ORDERS
-        if not known_const:
-            errs.append(f"constellation: unknown {self.constellation!r}")
+        const_errs = _constellation_errors(self.constellation)
+        errs += const_errs
         if self.detector.lower() not in DETECTORS:
             errs.append(f"detector: unknown {self.detector!r}")
-        if self.coherence_uses < 1:
-            errs.append("coherence_uses: must be positive")
-        if self.frames < 1:
-            errs.append("frames: must be positive")
         if not -math.inf < self.pilot_snr_db <= math.inf:
             errs.append("pilot_snr_db: must be finite or +inf (perfect CSI)")
-        if self.coded and known_const and self.info_bits_per_stream() < 1:
+        if self.coded and not const_errs and self.info_bits_per_stream() < 1:
             errs.append("coherence_uses: block too short for a "
                         "zero-terminated rate-1/2 codeword")
         for name in ("signal_fraction_bits", "operator_fraction_bits"):
@@ -128,12 +143,8 @@ class SimConfig:
         if (self.signal_fraction_bits is None) != (self.operator_fraction_bits is None):
             errs.append("signal_fraction_bits/operator_fraction_bits: "
                         "set both or neither")
-        if self.adc_bits is not None and self.adc_bits < 1:
-            errs.append("adc_bits: must be positive")
         if not 0 <= self.nsa_order <= MAX_SERIES_ORDER:
             errs.append(f"nsa_order: outside 0..{MAX_SERIES_ORDER}")
-        if self.cd_sweeps < 1:
-            errs.append("cd_sweeps: must be positive")
         if not (math.isfinite(self.c_const) and self.c_const > 0):
             errs.append("c_const: must be finite and positive")
         elif self.c_const > 1:
@@ -356,12 +367,34 @@ def _pa_drive_amplitude(pa: PaModel) -> float:
     return float(np.sqrt(abs(ratio)))
 
 
-def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
-                     trials: int = 20, uses: int = 64,
-                     backoff_db: float = 0.0, precoder: str = "zf",
-                     constellation: str = "qpsk",
-                     m_ref: Optional[int] = None,
-                     seed: int = 0) -> Tuple[EvmPoint, ...]:
+@dataclass(frozen=True)
+class EvmConfig:
+    """Downlink EVM study; ``validate`` names bad fields."""
+
+    m_list: Tuple[int, ...]
+    k: int
+    trials: int = 20
+    uses: int = 64
+    backoff_db: float = 0.0
+    precoder: str = "zf"
+    constellation: str = "qpsk"
+    m_ref: Optional[int] = None
+    seed: int = 0
+
+    def validate(self) -> None:
+        errs = _count_errors(k=self.k, trials=self.trials, uses=self.uses,
+                             m_ref=self.m_ref)
+        fewest = min(self.m_list, default=0)
+        if self.k >= 1 and fewest < self.k:
+            errs.append(f"m_list: {fewest} antennas for {self.k} users")
+        errs += (_range_errors("backoff_db", -60.0, 60.0, self.backoff_db)
+                 + _precoder_errors(self.precoder)
+                 + _constellation_errors(self.constellation))
+        if errs:
+            raise ValueError("; ".join(errs))
+
+
+def run_downlink_evm(cfg: EvmConfig, pa: PaModel) -> Tuple[EvmPoint, ...]:
     """Noiseless post-PA EVM at the users versus array size.
 
     Total radiated power is held fixed: the per-antenna drive at the
@@ -370,33 +403,22 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
     scaling to ``m`` antennas divides per-antenna power by ``m / m_ref``.
     EVM ratios are averaged linearly over users and trials.
     """
-    if not m_list:
-        raise ValueError("m_list: empty")
-    if trials < 1:
-        raise ValueError("trials: must be positive")
-    if uses < 1:
-        raise ValueError("uses: must be positive")
-    if min(m_list) < k:
-        raise ValueError(f"m_list: {min(m_list)} antennas for {k} users")
-    m_ref = min(m_list) if m_ref is None else m_ref
-    if m_ref < 1:
-        raise ValueError("m_ref: must be positive")
-    if precoder.lower() not in PRECODERS:
-        raise ValueError(f"precoder: unknown {precoder!r}")
-    backoff_db = _in_range("backoff_db", backoff_db)
-    const = Constellation.from_name(constellation)
+    cfg.validate()
+    k, trials, seed = cfg.k, cfg.trials, cfg.seed
+    m_ref = cfg.m_ref or min(cfg.m_list)
+    const = Constellation.from_name(cfg.constellation)
     out = []
-    for m in m_list:
+    for m in cfg.m_list:
         acc = 0.0
         for trial in range(trials):
             g = draw_iid_rayleigh(m, k, stream_rng(seed, m, trial, 0))
             rng_bits = stream_rng(seed, m, trial, 1)
-            bits = rng_bits.integers(0, 2,
-                                     size=(k, uses * const.bits_per_symbol))
+            bits = rng_bits.integers(
+                0, 2, size=(k, cfg.uses * const.bits_per_symbol))
             x = map_bits(bits, const)
-            s = precode(g, precoder) @ x
-            target = (_pa_drive_amplitude(pa) * 10.0 ** (-backoff_db / 20.0)
-                      * np.sqrt(m_ref / m))
+            s = precode(g, cfg.precoder) @ x
+            target = (_pa_drive_amplitude(pa)
+                      * 10.0 ** (-cfg.backoff_db / 20.0) * np.sqrt(m_ref / m))
             rms = np.sqrt(np.mean(np.abs(s) ** 2))
             s = s * (target / rms)
             y = g.T @ pa_apply(s, pa)
@@ -406,53 +428,56 @@ def run_downlink_evm(m_list: Sequence[int], k: int, pa: PaModel,
     return tuple(out)
 
 
-def _in_range(name: str, value: float) -> float:
-    """``value`` of the float argument ``name`` if it lies in its stated
-    range, with -0.0 as 0.0 (a spread that uniform draws take).  Each
-    entry of residual_error_db may also be -inf, written -.inf in a
-    config: no calibration error."""
-    low, high = _FLOAT_RANGES[name]
-    if name == "residual_error_db":
-        if not (low <= value <= high or value == -math.inf):
-            raise ValueError(f"{name}: entries must be -.inf or at least "
-                             f"{low} and at most {high}, got {value!r}")
-    elif not low <= value <= high:
-        raise ValueError(f"{name}: {value!r} outside [{low}, {high}]")
-    return value + 0.0
+@dataclass(frozen=True)
+class CalibrationConfig:
+    """Reciprocity calibration study; ``validate`` names bad fields."""
+
+    m: int
+    k: int
+    gain_bound_db: float = 1.0
+    phase_bound_deg: float = 5.0
+    residual_error_db: Tuple[float, ...] = (-40.0,)
+    trials: int = 100
+    precoder: str = "zf"
+    seed: int = 0
+
+    def validate(self) -> None:
+        errs = (_array_errors(self.m, self.k)
+                + _count_errors(trials=self.trials)
+                + _range_errors("gain_bound_db", 0.0, 20.0, self.gain_bound_db)
+                + _range_errors("phase_bound_deg", 0.0, 180.0,
+                                self.phase_bound_deg)
+                + _range_errors("residual_error_db", -300.0, 60.0,
+                                *self.residual_error_db)
+                + _precoder_errors(self.precoder))
+        if errs:
+            raise ValueError("; ".join(errs))
 
 
-def run_calibration_study(m: int, k: int, gain_bound_db: float,
-                          phase_bound_deg: float,
-                          residuals: Sequence[float], trials: int,
-                          precoder: str = "zf",
-                          seed: int = 0) -> Tuple[float, Tuple[float, ...]]:
+def run_calibration_study(cfg: CalibrationConfig
+                          ) -> Tuple[float, Tuple[float, ...]]:
     """Median downlink MUI without and with reciprocity calibration.
 
     Each trial draws a channel and per-chain gain/phase mismatches within
     the given bounds, builds the precoder from the uplink estimate, and
     measures the multi-user interference at the users.  Calibration
     multiplies the uplink estimate by the t/r weights, perturbed by an
-    error of each ``residuals`` entry's relative power (dB).  Returns the
-    uncalibrated median in dB and one calibrated median per residual.
+    error of each ``residual_error_db`` entry's relative power (dB).
+    Returns the uncalibrated median in dB and one calibrated median per
+    entry.  A bound of -0.0 is read as 0.0, a spread uniform draws take.
     """
-    if trials < 1:
-        raise ValueError("trials: must be positive")
-    if k > m:
-        raise ValueError(f"k: {k} users exceed {m} antennas")
-    if precoder.lower() not in PRECODERS:
-        raise ValueError(f"precoder: unknown {precoder!r}")
-    gain_bound_db = _in_range("gain_bound_db", gain_bound_db)
-    phase_bound_deg = _in_range("phase_bound_deg", phase_bound_deg)
-    residuals = [_in_range("residual_error_db", r) for r in residuals]
+    cfg.validate()
+    m, k, seed, residuals = cfg.m, cfg.k, cfg.seed, cfg.residual_error_db
 
     def mui(g_for_precoder, downlink):
-        return mui_db(downlink.T @ precode(g_for_precoder, precoder))
+        return mui_db(downlink.T @ precode(g_for_precoder, cfg.precoder))
 
     cal = {r: [] for r in residuals}
     raw = []
-    for t in range(trials):
+    for t in range(cfg.trials):
         g = draw_iid_rayleigh(m, k, stream_rng(seed, t, 0))
-        fe = draw_front_end_set(m, k, gain_bound_db, phase_bound_deg,
+        fe = draw_front_end_set(m, k, cfg.gain_bound_db + 0.0,
+                                cfg.phase_bound_deg + 0.0,
                                 stream_rng(seed, t, 1))
         uplink, downlink = build_nonreciprocal(g, fe)
         raw.append(mui(uplink, downlink))
@@ -506,14 +531,15 @@ def outage_configs(cfg: SimConfig, fractions: Sequence[float], policy: str,
     """An outage study's runs: ``cfg`` without faults, then ``cfg`` at each
     of ``fractions``, all checked (with ``policy`` and ``target_ber``)
     before the first one runs."""
-    if policy not in FAULT_POLICIES:
+    if policy.lower() not in FAULT_POLICIES:
         raise ValueError(f"policy: unknown {policy!r}")
     if not 0.0 < target_ber < 1.0:
         raise ValueError(f"target_ber: {target_ber} outside (0, 1)")
     configs = []
     for frac in (0.0, *fractions):
         configs.append(replace(cfg, victim_fraction=float(frac),
-                               victim_policy=policy if frac > 0 else "none"))
+                               victim_policy=(policy.lower() if frac > 0
+                                              else "none")))
         try:
             configs[-1].validate()
         except ValueError as exc:

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from conftest import MASTER_SEEDS
-from mimodsp import (InterconnectConfig, PaModel, SimConfig, aggregate,
-                     build_nonreciprocal, calibrate, draw_front_end_set,
+from mimodsp import (EvmConfig, InterconnectConfig, PaModel, SimConfig,
+                     aggregate, build_nonreciprocal, calibrate,
+                     draw_front_end_set,
                      draw_iid_rayleigh, exact_inverse_cost, fit_wnsa_weights,
                      gram, hardening_variance, interconnect_rate, local_gram,
                      local_mf, mui_db, nsa_inverse, precode, quantize_adc,
@@ -232,7 +233,8 @@ def test_06_weighted_series_beats_plain_series(acceptance_log):
 
 def test_07_array_size_relaxes_amplifier_distortion(acceptance_log):
     pa = PaModel.from_compression_point(1.0)
-    pts = run_downlink_evm([30, 100], k=10, pa=pa, trials=20, seed=707)
+    pts = run_downlink_evm(EvmConfig((30, 100), k=10, trials=20, seed=707),
+                           pa)
     delta = pts[1].evm_db - pts[0].evm_db
     ok = delta <= -8.0
     assert _record(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mimodsp import channel
 from mimodsp.channel import (draw_iid_rayleigh, estimate_ls, gram,
                              hardening_variance, stream_rng)
 
@@ -82,3 +83,17 @@ class TestHardening:
         for m in (10, 100):
             var = hardening_variance(m, 4000, stream_rng(master_seed, m))
             assert var == pytest.approx(1.0 / m, rel=0.15)
+
+    # once NaN with a RuntimeWarning (no trials) and a ZeroDivisionError
+    @pytest.mark.parametrize("m, trials, match", [
+        (4, 0, "^trials: must be at least 1$"),
+        (0, 3, "^m: must be at least 1$"),
+        (-1, -1, "^m: must be at least 1; trials: must be at least 1$")])
+    def test_counts_checked_before_drawing(self, monkeypatch, m, trials,
+                                           match):
+        def no_draw(*args):
+            raise AssertionError("a channel was drawn before the check")
+
+        monkeypatch.setattr(channel, "draw_iid_rayleigh", no_draw)
+        with pytest.raises(ValueError, match=match):
+            hardening_variance(m, trials, stream_rng(0))

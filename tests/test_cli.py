@@ -348,7 +348,7 @@ class TestValidationFailures:
          "fractions: 1.5: victim_fraction: outside [0, 1)"),
         (dict(_TINY_OUTAGE, target_ber=2.0), "target_ber: 2.0 outside"),
         (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
-         "algorithms: ('NSA', 'lu') not one of"),
+         "algorithms: unknown algorithm 'lu'"),
         (dict(_TINY_EVM, pa={"a_1db": float("nan")}),
          "a_1db: expected a number, got nan"),
         (dict(_TINY_EVM, pa={"alpha1": float("nan")}),

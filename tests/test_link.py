@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimodsp import (PaModel, SimConfig, impairments, run_calibration_study,
-                     run_downlink_evm, run_outage_study, run_uplink_ber,
-                     snr_at_ber)
+from mimodsp import (CalibrationConfig, EvmConfig, PaModel, SimConfig,
+                     impairments, run_calibration_study, run_downlink_evm,
+                     run_outage_study, run_uplink_ber, snr_at_ber)
 from mimodsp.channel import draw_iid_rayleigh, stream_rng
 from mimodsp.equalization import (N0_FREE_DETECTORS, UplinkDetector,
                                   build_uplink_detector)
@@ -725,65 +725,87 @@ _COMPRESSIVE = PaModel(alpha1=1.0, alpha3=-0.05, a_in_sat=2.5)
 class TestDownlinkEvm:
     def test_linear_pa_has_negligible_error(self):
         # the error-vector ratio clamps at its -100 dB reporting floor
-        pts = run_downlink_evm([16], k=4, pa=PaModel(), trials=4, seed=1)
+        pts = run_downlink_evm(EvmConfig((16,), k=4, trials=4, seed=1),
+                               PaModel())
         assert pts[0].evm_db <= -99.0
 
     def test_more_antennas_less_distortion(self):
-        pts = run_downlink_evm([16, 64], k=4, pa=_COMPRESSIVE, trials=6,
-                               seed=2)
+        pts = run_downlink_evm(EvmConfig((16, 64), k=4, trials=6, seed=2),
+                               _COMPRESSIVE)
         assert pts[1].evm_db < pts[0].evm_db - 4.0
 
     def test_backoff_improves_evm(self):
-        hot = run_downlink_evm([16], k=4, pa=_COMPRESSIVE, trials=4,
-                               backoff_db=0.0, seed=3)[0]
-        cool = run_downlink_evm([16], k=4, pa=_COMPRESSIVE, trials=4,
-                                backoff_db=6.0, seed=3)[0]
+        hot = run_downlink_evm(EvmConfig((16,), k=4, trials=4,
+                                         backoff_db=0.0, seed=3),
+                               _COMPRESSIVE)[0]
+        cool = run_downlink_evm(EvmConfig((16,), k=4, trials=4,
+                                          backoff_db=6.0, seed=3),
+                                _COMPRESSIVE)[0]
         assert cool.evm_db < hot.evm_db - 6.0
 
     def test_reference_size_defaults_to_smallest(self):
-        explicit = run_downlink_evm([16, 32], k=2, pa=_COMPRESSIVE,
-                                    trials=3, m_ref=16, seed=4)
-        implicit = run_downlink_evm([16, 32], k=2, pa=_COMPRESSIVE,
-                                    trials=3, seed=4)
+        explicit = run_downlink_evm(EvmConfig((16, 32), k=2, trials=3,
+                                              m_ref=16, seed=4), _COMPRESSIVE)
+        implicit = run_downlink_evm(EvmConfig((16, 32), k=2, trials=3,
+                                              seed=4), _COMPRESSIVE)
         assert explicit == implicit
 
     def test_validation(self, monkeypatch):
         # every bad argument is named before the first channel is drawn
         monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
-        with pytest.raises(ValueError, match="m_list"):
-            run_downlink_evm([], k=2, pa=PaModel())
-        with pytest.raises(ValueError, match="trials"):
-            run_downlink_evm([8], k=2, pa=PaModel(), trials=0)
-        with pytest.raises(ValueError, match="m_list"):
-            run_downlink_evm([4], k=8, pa=PaModel())
-        with pytest.raises(ValueError, match="uses"):
-            run_downlink_evm([8], k=2, pa=PaModel(), uses=0)
-        with pytest.raises(ValueError, match="m_list: 5 antennas"):
-            run_downlink_evm([30, 5], k=10, pa=PaModel())
-        with pytest.raises(ValueError, match="m_ref"):
-            run_downlink_evm([8], k=2, pa=PaModel(), m_ref=0)
-        with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
-            run_downlink_evm([8], k=2, pa=PaModel(), precoder="bogus")
+        for match, fields in [
+                ("^m_list: 0 antennas", dict(m_list=())),
+                ("^trials: must be at least 1", dict(trials=0)),
+                ("^m_list: 4 antennas for 8 users", dict(m_list=(4,), k=8)),
+                ("^uses: must be at least 1", dict(uses=0)),
+                ("^m_list: 5 antennas", dict(m_list=(30, 5), k=10)),
+                ("^m_ref: must be at least 1", dict(m_ref=0)),
+                (r"^precoder: 'bogus' not one of \['mr', 'zf'\]",
+                 dict(precoder="bogus")),
+                ("^constellation: unknown '8psk'",
+                 dict(constellation="8psk"))]:
+            with pytest.raises(ValueError, match=match):
+                run_downlink_evm(EvmConfig(**{"m_list": (8,), "k": 2,
+                                              **fields}), PaModel())
+
+    # these drew a channel and then failed on its shape, or failed in numpy
+    @pytest.mark.parametrize("m_list, k", [((8,), 0), ((8,), -2), ((0,), 0)])
+    def test_user_count_checked_first(self, monkeypatch, m_list, k):
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
+        with pytest.raises(ValueError, match="^k: must be at least 1$"):
+            run_downlink_evm(EvmConfig(m_list, k), PaModel())
 
     @pytest.mark.parametrize("backoff", [math.nan, -7000.0, -60.5, math.inf])
     def test_backoff_outside_its_range(self, monkeypatch, backoff):
         # once a numpy RuntimeWarning (NaN) and an OverflowError (-7000)
         monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
-        with pytest.raises(ValueError, match="^backoff_db: .* outside "
-                                             r"\[-60.0, 60.0\]"):
-            run_downlink_evm([8], k=2, pa=PaModel(), backoff_db=backoff)
+        with pytest.raises(ValueError, match="^backoff_db: must be at "
+                                             r"(least -60.0|most 60.0), got"):
+            run_downlink_evm(EvmConfig((8,), k=2, backoff_db=backoff),
+                             PaModel())
 
 
 class TestCalibrationStudy:
     def test_validation(self, monkeypatch):
         monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
-        with pytest.raises(ValueError, match="^trials:"):
-            run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=0)
-        with pytest.raises(ValueError, match="^k:"):
-            run_calibration_study(4, 8, 1.0, 5.0, (-40.0,), trials=2)
-        with pytest.raises(ValueError, match="^precoder: unknown 'bogus'"):
-            run_calibration_study(8, 2, 1.0, 5.0, (-40.0,), trials=2,
-                                  precoder="bogus")
+        with pytest.raises(ValueError, match="^trials: must be at least 1"):
+            run_calibration_study(CalibrationConfig(8, 2, trials=0))
+        with pytest.raises(ValueError, match="^k: 8 users exceed 4 antennas"):
+            run_calibration_study(CalibrationConfig(4, 8, trials=2))
+        with pytest.raises(ValueError, match=r"^precoder: 'bogus' not one of "
+                                             r"\['mr', 'zf'\]"):
+            run_calibration_study(CalibrationConfig(8, 2, trials=2,
+                                                    precoder="bogus"))
+
+    # these drew a channel and then failed on its shape
+    @pytest.mark.parametrize("m, k, match", [
+        (8, 0, "^k: must be at least 1$"),
+        (0, 2, "^m: must be at least 1; k: 2 users exceed 0 antennas$"),
+        (0, -1, "^m: must be at least 1; k: must be at least 1$")])
+    def test_sizes_checked_first(self, monkeypatch, m, k, match):
+        monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
+        with pytest.raises(ValueError, match=match):
+            run_calibration_study(CalibrationConfig(m, k, trials=2))
 
     @pytest.mark.parametrize("field, args", [
         ("gain_bound_db", (-1.0, 5.0, (-40.0,))),
@@ -799,12 +821,14 @@ class TestCalibrationStudy:
         # a negative bound once reached numpy's "high - low < 0"
         monkeypatch.setattr(sim, "draw_iid_rayleigh", _no_draw)
         with pytest.raises(ValueError, match=f"^{field}: "):
-            run_calibration_study(4, 2, *args, trials=2)
+            run_calibration_study(CalibrationConfig(4, 2, *args, trials=2))
 
     def test_negative_zero_bounds_are_zero(self):
         # uniform draws take a spread of 0.0 but not of -0.0
-        zero = run_calibration_study(4, 2, 0.0, 0.0, (-math.inf,), 2)
-        assert run_calibration_study(4, 2, -0.0, -0.0, (-math.inf,), 2) == zero
+        zero = run_calibration_study(
+            CalibrationConfig(4, 2, 0.0, 0.0, (-math.inf,), 2))
+        assert run_calibration_study(
+            CalibrationConfig(4, 2, -0.0, -0.0, (-math.inf,), 2)) == zero
 
 
 class TestOutageStudy:
@@ -909,3 +933,8 @@ class TestOutageStudy:
         with pytest.raises(ValueError, match="policy"):
             run_outage_study(cfg, fractions=(0.1,), policy="amputate",
                              target_ber=1e-3)
+
+    def test_policy_name_in_any_case(self):
+        cfg = SimConfig(m=12, k=3, snr_db=(0.0,), frames=2)
+        assert (outage_configs(cfg, (0.1,), "Exclude", 1e-2)
+                == outage_configs(cfg, (0.1,), "exclude", 1e-2))

@@ -111,19 +111,36 @@ _FRACTION_BITS = ("signal_fraction_bits", "operator_fraction_bits")
 _VICTIMS = ("victim_fraction", "victim_policy")
 _SIZES = st.integers(1, 8)
 _SIZE_LISTS = st.lists(_SIZES, min_size=1, max_size=3)
+# bad values of the evm_vs_m, calibration, complexity_table and hardening
+# keys, for validate to refuse: counts of 0 and below, unknown names
+_NOT_COUNTS = st.integers(-2, 0)
+_ANY_COUNT_LISTS = st.lists(st.integers(-2, 8), min_size=1, max_size=3)
+_UNKNOWN_NAMES = st.sampled_from(["bogus", "8psk"])
+
+
+def _name(names):
+    """One of ``names``, in lower or upper case."""
+    known = st.sampled_from(sorted(names))
+    return known | known.map(str.upper)
+
+
+def _spoiled(draw, keys, bad):
+    """``keys`` as drawn, then ``keys`` with each of ``bad``'s keys in turn
+    redrawn from its bad values: one fault at a time reaches every rule."""
+    return [keys] + [{**keys, key: draw(values)} for key, values in bad.items()]
 
 
 @st.composite
 def _raw_ber(draw):
-    return dict(experiment="ber", **_sim_keys(draw))
+    return [dict(experiment="ber", **_sim_keys(draw))]
 
 
 @st.composite
 def _raw_fxp_sweep(draw):
-    return dict(experiment="fxp_sweep", **_sim_keys(draw, *_FRACTION_BITS),
-                fraction_bits=draw(st.lists(st.integers(1, 24), min_size=1,
-                                            max_size=3)),
-                include_float=draw(st.booleans()))
+    return [dict(experiment="fxp_sweep", **_sim_keys(draw, *_FRACTION_BITS),
+                 fraction_bits=draw(st.lists(st.integers(1, 24), min_size=1,
+                                             max_size=3)),
+                 include_float=draw(st.booleans()))]
 
 
 @st.composite
@@ -131,69 +148,94 @@ def _raw_outage(draw):
     keys = _sim_keys(draw, *_VICTIMS)
     # a wide grid, so that the baseline often crosses the target
     keys["snr_db"] = [-10.0, draw(st.floats(-5.0, 5.0)), 30.0]
-    return dict(experiment="outage", **keys,
-                fractions=draw(st.lists(st.floats(0.0, 0.5), min_size=1,
-                                        max_size=3)),
-                policy=draw(st.sampled_from(FAULT_POLICIES)),
-                target_ber=draw(st.floats(0.0, 0.3)))
+    return [dict(experiment="outage", **keys,
+                 fractions=draw(st.lists(st.floats(0.0, 0.5), min_size=1,
+                                         max_size=3)),
+                 policy=draw(st.sampled_from(FAULT_POLICIES)),
+                 target_ber=draw(st.floats(0.0, 0.3)))]
 
 
 @st.composite
 def _raw_evm_vs_m(draw):
-    return dict(experiment="evm_vs_m", m_list=draw(_SIZE_LISTS),
-                k=draw(st.integers(1, 3)), trials=draw(st.integers(1, 2)),
-                uses=draw(_SIZES),
-                backoff_db=draw(_any_float(st.floats(-60.0, 60.0))),
-                precoder=draw(st.sampled_from(sorted(PRECODERS))),
-                constellation=draw(st.sampled_from(sorted(_ORDERS))),
-                m_ref=draw(_SIZES),
-                # zero, subnormal, tiny, huge and infinite values included:
-                # validate refuses what leaves no compression point
-                pa=dict(a_1db=draw(st.floats(1e-3, 3.0)
-                                   | st.floats(min_value=0.0)
-                                   | st.sampled_from([1e-200, 1e200])),
-                        alpha1=draw(st.floats(-2.0, 2.0)
-                                    | st.sampled_from([0.0, 5e-324]))))
+    k = draw(st.integers(1, 3))
+    keys = dict(experiment="evm_vs_m",
+                m_list=draw(st.lists(st.integers(k, 8), min_size=1,
+                                     max_size=3)),
+                k=k, trials=draw(st.integers(1, 2)), uses=draw(_SIZES),
+                backoff_db=draw(st.floats(-60.0, 60.0)),
+                precoder=draw(_name(PRECODERS)),
+                constellation=draw(_name(_ORDERS)),
+                m_ref=draw(st.none() | _SIZES),
+                pa=dict(a_1db=draw(st.floats(1e-3, 3.0)),
+                        alpha1=draw(st.floats(0.1, 2.0)
+                                    | st.floats(-2.0, -0.1))))
+    return _spoiled(draw, keys, dict(
+        m_list=_ANY_COUNT_LISTS, k=_NOT_COUNTS, trials=_NOT_COUNTS,
+        uses=_NOT_COUNTS, m_ref=_NOT_COUNTS, precoder=_UNKNOWN_NAMES,
+        constellation=_UNKNOWN_NAMES, backoff_db=st.floats(),
+        # zero, subnormal, tiny, huge and infinite values included:
+        # validate refuses what leaves no compression point
+        pa=st.fixed_dictionaries(dict(
+            a_1db=(st.floats(min_value=0.0)
+                   | st.sampled_from([1e-200, 1e200])),
+            alpha1=st.floats(-2.0, 2.0) | st.sampled_from([0.0, 5e-324])))))
 
 
 @st.composite
 def _raw_complexity_table(draw):
-    return dict(experiment="complexity_table", m=draw(st.integers(1, 64)),
-                k_list=draw(st.lists(st.integers(1, 16), min_size=1,
+    m = draw(st.integers(1, 64))
+    keys = dict(experiment="complexity_table", m=m,
+                k_list=draw(st.lists(st.integers(1, min(m, 16)), min_size=1,
                                      max_size=3)),
                 nsa_order=draw(st.integers(0, 4)),
                 coherence_uses=draw(st.integers(1, 64)),
-                algorithms=draw(st.lists(st.sampled_from(ALGORITHMS),
-                                         min_size=1, max_size=3)))
+                algorithms=draw(st.lists(_name(ALGORITHMS), min_size=1,
+                                         max_size=3)))
+    return _spoiled(draw, keys, dict(
+        m=_NOT_COUNTS, k_list=st.lists(st.integers(-2, 80), min_size=1,
+                                       max_size=3),
+        nsa_order=_NOT_COUNTS, coherence_uses=_NOT_COUNTS,
+        algorithms=st.lists(_name(ALGORITHMS) | _UNKNOWN_NAMES, min_size=1,
+                            max_size=3)))
 
 
 @st.composite
 def _raw_interconnect(draw):
-    return dict(experiment="interconnect",
-                r_samp=draw(_any_float(st.floats(1.0, 1e8))),
-                n_data=draw(st.integers(1, 1200)),
-                n_sub=draw(st.integers(1, 2048)),
-                n_cp=draw(st.integers(0, 200)),
-                w_bits=draw(st.integers(1, 32)), m=draw(st.integers(1, 256)))
+    return [dict(experiment="interconnect",
+                 r_samp=draw(_any_float(st.floats(1.0, 1e8))),
+                 n_data=draw(st.integers(1, 1200)),
+                 n_sub=draw(st.integers(1, 2048)),
+                 n_cp=draw(st.integers(0, 200)),
+                 w_bits=draw(st.integers(1, 32)),
+                 m=draw(st.integers(1, 256)))]
 
 
 @st.composite
 def _raw_hardening(draw):
-    return dict(experiment="hardening", m_list=draw(_SIZE_LISTS),
+    keys = dict(experiment="hardening", m_list=draw(_SIZE_LISTS),
                 trials=draw(st.integers(1, 20)))
+    return _spoiled(draw, keys, dict(m_list=_ANY_COUNT_LISTS,
+                                     trials=_NOT_COUNTS))
 
 
 @st.composite
 def _raw_calibration(draw):
-    return dict(experiment="calibration", m=draw(_SIZES), k=draw(_SIZES),
-                gain_bound_db=draw(_any_float(st.floats(0.0, 20.0))),
-                phase_bound_deg=draw(_any_float(st.floats(0.0, 180.0))),
+    m = draw(_SIZES)
+    keys = dict(experiment="calibration", m=m, k=draw(st.integers(1, m)),
+                gain_bound_db=draw(st.floats(0.0, 20.0)),
+                phase_bound_deg=draw(st.floats(0.0, 180.0)),
                 residual_error_db=draw(st.lists(
-                    _any_float(st.floats(-300.0, 60.0)
-                               | st.just(-math.inf)),
+                    st.floats(-300.0, 60.0) | st.just(-math.inf),
                     min_size=1, max_size=2)),
                 trials=draw(st.integers(1, 2)),
-                precoder=draw(st.sampled_from(sorted(PRECODERS))))
+                precoder=draw(_name(PRECODERS)))
+    return _spoiled(draw, keys, dict(
+        # k above m first: hypothesis leans on a union's first branch
+        m=_NOT_COUNTS, k=st.integers(9, 12) | _NOT_COUNTS,
+        trials=_NOT_COUNTS,
+        precoder=_UNKNOWN_NAMES, gain_bound_db=st.floats(),
+        phase_bound_deg=st.floats(),
+        residual_error_db=st.lists(st.floats(), min_size=1, max_size=2)))
 
 
 _RAW = {"ber": _raw_ber, "fxp_sweep": _raw_fxp_sweep,
@@ -212,8 +254,13 @@ def test_every_cli_experiment_is_drawn():
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(data=st.data())
 def test_validated_experiment_runs(name, data):
+    for raw in data.draw(_RAW[name]()):
+        _runs_if_valid(name, raw)
+
+
+def _runs_if_valid(name, raw):
     try:
-        _, runner, _, _ = build_experiment(data.draw(_RAW[name]()), workers=1)
+        _, runner, _, _ = build_experiment(raw, workers=1)
     except ConfigError:
         return
     try:
