@@ -67,7 +67,11 @@ def gram(g: np.ndarray) -> np.ndarray:
 
 def _count_errors(**counts) -> List[str]:
     """``"<name>: must be at least 1"`` for each count below 1 (``entries
-    must``, for a tuple of counts); None passes.  Shared by the studies."""
+    must``, for a tuple of counts); None passes.
+
+    This, :func:`_range_errors` and :func:`_name_errors` state every rule
+    of the configs and entry points; :func:`_raise` raises what they
+    return."""
     errs = []
     for name, n in counts.items():
         many = isinstance(n, tuple)
@@ -77,15 +81,48 @@ def _count_errors(**counts) -> List[str]:
     return errs
 
 
+def _range_errors(key: str, value, low: float, high: float) -> List[str]:
+    """The error of ``key`` if ``value`` (each entry, for a tuple) lies
+    outside its stated range [low, high], as NaN does; None passes."""
+    many = isinstance(value, tuple)
+    for v in value if many else (value,):
+        if v is not None and not low <= v <= high:
+            bound = f"at most {high}" if v > high else f"at least {low}"
+            return [f"{key}: {'entries ' if many else ''}must be {bound}, "
+                    f"got {v!r}"]
+    return []
+
+
+def _name_errors(key: str, value, names) -> List[str]:
+    """The error of ``key`` unless ``value`` (each entry, for a tuple), in
+    any case, is one of the lower-case ``names``."""
+    for v in value if isinstance(value, tuple) else (value,):
+        if v.lower() not in names:
+            return [f"{key}: unknown {v!r}, not one of {sorted(names)}"]
+    return []
+
+
+def _array_errors(m: int, k: int) -> List[str]:
+    """The errors of an array of ``m`` antennas serving ``k`` users."""
+    errs = _count_errors(m=m, k=k)
+    if k > m:
+        errs.append(f"k: {k} users exceed {m} antennas")
+    return errs
+
+
+def _raise(errs: List[str], error=ValueError) -> None:
+    """Raise ``errs``, if any, as one ``error``."""
+    if errs:
+        raise error("; ".join(errs))
+
+
 def hardening_variance(m: int, trials: int, rng: RngLike) -> float:
     """Sample variance of ``||g||^2 / m`` over single-user channel draws.
 
     For i.i.d. CN(0, 1) entries the statistic concentrates at 1 with
     variance ``1 / m``, which is the usual channel-hardening yardstick.
     """
-    errs = _count_errors(m=m, trials=trials)
-    if errs:
-        raise ValueError("; ".join(errs))
+    _raise(_count_errors(m=m, trials=trials))
     r = as_rng(rng)
     vals = np.empty(trials)
     for t in range(trials):

@@ -28,7 +28,8 @@ from typing import (Callable, Dict, List, Optional, Sequence, Tuple, Union,
 import yaml
 
 from . import __version__
-from .channel import _count_errors, hardening_variance, stream_rng
+from .channel import (_count_errors, _name_errors, _raise, _range_errors,
+                      hardening_variance, stream_rng)
 from .complexity import CostTableConfig, table2_cost
 from .decentral import InterconnectConfig, interconnect_rate
 from .impairments import PaModel
@@ -72,8 +73,7 @@ class _Schema:
         return val
 
     def check(self):
-        if self.errors:
-            raise ConfigError("; ".join(self.errors))
+        _raise(self.errors, ConfigError)
 
     def finish(self):
         for key in sorted(set(self.raw) - self.seen):
@@ -320,15 +320,15 @@ def build_experiment(raw: dict, seed_override: Optional[int] = None,
     An explicit ``workers`` overrides the config's ``workers`` key."""
     s = _Schema(raw, "config")
     name = s.take("experiment", str, required=True)
-    if name is not None and name.lower() not in _BUILDERS:
-        s.errors.append(f"experiment: {name!r} not one of "
-                        f"{sorted(_BUILDERS)}")
+    if name is not None:
+        s.errors += _name_errors("experiment", name, _BUILDERS)
     s.check()
     name = name.lower()
     s.context = f"experiment {name}"
     seed = s.take("seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
+    s.errors += _range_errors("seed", seed, 0, math.inf)
     out_name = s.take("output", str, default=f"{name}.csv")
     if workers is not None:   # the override replaces the key, check and all
         s.raw["workers"] = workers

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .channel import _count_errors
+from .channel import _array_errors, _count_errors, _name_errors, _raise
 
 __all__ = [
     "AlgoCost",
@@ -32,15 +32,8 @@ class AlgoCost:
     per_use: float
 
     def total(self, coherence_uses: int) -> float:
-        errs = _count_errors(coherence_uses=coherence_uses)
-        if errs:
-            raise ValueError(errs[0])
+        _raise(_count_errors(coherence_uses=coherence_uses))
         return self.per_realization + coherence_uses * self.per_use
-
-
-def _check_sizes(m: int, k: int) -> None:
-    if not m >= k >= 1:
-        raise ValueError(f"need M >= K >= 1, got M = {m}, K = {k}")
 
 
 def table2_cost(alg: str, m: int, k: int, l: int | None = None) -> AlgoCost:
@@ -51,7 +44,7 @@ def table2_cost(alg: str, m: int, k: int, l: int | None = None) -> AlgoCost:
     per-use work covers the matched filter plus the solve.  ``l`` is the
     series order or sweep count where the algorithm has one.
     """
-    _check_sizes(m, k)
+    _raise(_array_errors(m, k) + _name_errors("alg", alg, ALGORITHMS))
     alg = alg.lower()
     gram = 2 * m * k * (k + 1)          # Hermitian Gram, triangle only
     mf = 4 * k * m                      # matched filter per use
@@ -66,17 +59,15 @@ def table2_cost(alg: str, m: int, k: int, l: int | None = None) -> AlgoCost:
     elif alg == "mqrd":
         per_real = gram + 4 * k ** 3 / 3 + 3 * k ** 2 / 2 - 31 * k / 3
         per_use = 6 * k ** 2 - 2 * k + mf
-    elif alg == "cd":
+    else:   # cd
         per_real = 0
         per_use = 4 * m * (l - 1) + 4 * k * m * l
-    else:
-        raise ValueError(f"unknown algorithm {alg!r}")
     return AlgoCost(per_realization=per_real, per_use=per_use)
 
 
 def exact_inverse_cost(m: int, k: int) -> int:
     """Multiplications for the explicit Gram inverse: ``M K^2 + K^3``."""
-    _check_sizes(m, k)
+    _raise(_array_errors(m, k))
     return m * k ** 2 + k ** 3
 
 
@@ -92,20 +83,15 @@ class CostTableConfig:
     algorithms: Tuple[str, ...] = ALGORITHMS
 
     def validate(self) -> None:
-        """The counts here; ``table2_cost``'s rules (k <= m, an iteration
-        count, a known name) tried one key at a time, the other arguments
-        at values they accept, so that its message is prefixed with the
-        key at fault; ``AlgoCost.total`` names ``coherence_uses`` itself."""
-        errs = _count_errors(m=self.m, k_list=self.k_list)
-        if errs:
-            raise ValueError("; ".join(errs))
-        checks = [("k_list", "chd", self.m, k, None) for k in self.k_list]
-        checks += [(key, a, 1, 1, l) for a in self.algorithms
-                   for key, l in (("algorithms", 1),
-                                  ("nsa_order", self.nsa_order))]
-        for key, alg, m, k, l in checks:
+        """The counts and names here; ``table2_cost``'s own rules (k <= m,
+        an iteration count) tried one key at a time, so that its message
+        is prefixed with the key at fault."""
+        _raise(_count_errors(m=self.m, k_list=self.k_list,
+                             coherence_uses=self.coherence_uses)
+               + _name_errors("algorithms", self.algorithms, ALGORITHMS))
+        for key, alg, k in ([("k_list", "chd", k) for k in self.k_list]
+                            + [("nsa_order", a, 1) for a in self.algorithms]):
             try:
-                table2_cost(alg, m, k, l)
+                table2_cost(alg, self.m, k, self.nsa_order)
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-        AlgoCost(0, 0).total(self.coherence_uses)

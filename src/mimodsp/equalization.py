@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ._openblas import rank1_update
-from .channel import gram
+from .channel import _count_errors, _name_errors, _raise, _range_errors, gram
 from .numerics import (
     FxpOverlay,
     _round_steps,
@@ -58,11 +58,6 @@ class NsaDivergenceWarning(UserWarning):
 MAX_SERIES_ORDER = 10
 
 
-def _check_order(order: int) -> None:
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"series order must be within 0..{MAX_SERIES_ORDER}")
-
-
 def _validate_channel(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
     if g.ndim != 2 or g.shape[1] < 1:
@@ -81,10 +76,8 @@ def _channel_inverse(g_hat, method, nus, kind):
     ``nus`` maps each method to its ``nu``; ``None`` gives the MR columns G.
     """
     g = _validate_channel(g_hat)
-    method = method.lower()
-    if method not in nus:
-        raise ValueError(f"unknown {kind} method {method!r}")
-    nu = nus[method]
+    _raise(_name_errors(kind, method, nus))
+    nu = nus[method.lower()]
     if nu is None:
         a = g
     else:
@@ -186,7 +179,7 @@ def nsa_inverse(z: np.ndarray, order: int) -> np.ndarray:
     :class:`NsaDivergenceWarning` is emitted when it is at least one (the
     truncated sum is still returned).  ``order`` must lie within 0..10.
     """
-    _check_order(order)
+    _raise(_range_errors("order", order, 0, MAX_SERIES_ORDER))
     z = np.asarray(z)
     _check_radius(z)
     return _nsa_inverse_quantized(z, order, _IDENTITY)
@@ -202,7 +195,7 @@ def fit_wnsa_weights(z: np.ndarray, order: int) -> tuple:
     back to all-ones weights when the range collapses to a point.
     Returns the ``order + 1`` weights, ``order`` within 0..10.
     """
-    _check_order(order)
+    _raise(_range_errors("order", order, 0, MAX_SERIES_ORDER))
     ev = np.linalg.eigvalsh(_whitened_offdiag(np.asarray(z)))
     lo, hi = float(ev.min()), float(ev.max())
     if hi - lo < 1e-12:
@@ -224,7 +217,7 @@ def wnsa_inverse(z: np.ndarray, weights: tuple) -> np.ndarray:
     weights extend the usable load range to Gram matrices whose
     unweighted series diverges.
     """
-    _check_order(len(weights) - 1)
+    _raise(_range_errors("order", len(weights) - 1, 0, MAX_SERIES_ORDER))
     z = np.asarray(z)
     _check_radius(z)
     return _wnsa_inverse_quantized(z, weights, _IDENTITY)
@@ -290,18 +283,16 @@ class UplinkDetector:
     reconstruction_error: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
-        method = self.method.lower()
-        if method not in DETECTORS:
-            raise ValueError(f"unknown detector method {self.method!r}")
-        self.method = method
+        _raise(_name_errors("method", self.method, DETECTORS))
+        self.method = method = self.method.lower()
         if method == "cd":
-            if self.cd_sweeps < 1:
-                raise ValueError("cd_sweeps: need at least one sweep")
+            _raise(_count_errors(cd_sweeps=self.cd_sweeps))
             if self.noise_var <= 0:
                 raise ValueError("coordinate descent needs a positive "
                                  "noise variance")
         elif method in ("nsa", "wnsa"):
-            _check_order(self.nsa_order)
+            _raise(_range_errors("nsa_order", self.nsa_order, 0,
+                                 MAX_SERIES_ORDER))
         self.g_hat = g = _validate_channel(self.g_hat)
         self.overlay = ov = self.overlay or _IDENTITY
         m = g.shape[0]

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .channel import RngLike, as_rng
+from .channel import RngLike, _name_errors, _raise, _range_errors, as_rng
 
 __all__ = [
     "PaModel",
@@ -36,6 +36,8 @@ __all__ = [
 
 EVM_FLOOR_DB = -100.0
 MUI_FLOOR_DB = -300.0
+# A double's significand: every mid-rise level (idx + 1/2) * step is exact
+_MAX_ADC_BITS = 53
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +146,10 @@ def quantize_adc(y: np.ndarray, bits: int) -> np.ndarray:
     ``1/sqrt(2)`` per axis (unit output power); no gain control is needed
     or used.  For ``bits > 1`` a mid-rise quantizer spans three times the
     per-axis RMS on each axis and clips outside it, roughly 0.3% of
-    Gaussian samples.
+    Gaussian samples.  ``bits`` lies within 1..53, the widths whose
+    levels a double holds exactly.
     """
-    if bits < 1:
-        raise ValueError("need at least one bit")
+    _raise(_range_errors("bits", bits, 1, _MAX_ADC_BITS))
     y = np.asarray(y, dtype=complex)
     if bits == 1:
         level = 1.0 / np.sqrt(2.0)
@@ -299,8 +301,7 @@ class CircuitErrorModel:
     def __post_init__(self):
         if not 0.0 <= self.victim_fraction <= 1.0:
             raise ValueError("victim_fraction must lie in [0, 1]")
-        if self.mode not in FAULT_MODES:
-            raise ValueError(f"unknown error mode {self.mode!r}")
+        _raise(_name_errors("mode", self.mode, FAULT_MODES))
 
 
 def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
@@ -316,8 +317,9 @@ def draw_victims(m: int, fraction: float, rng: RngLike) -> np.ndarray:
 def stick_victims(y: np.ndarray, victims: np.ndarray, mode: str) -> None:
     """Pin every sample of the ``victims`` rows of ``y`` in place:
     ``stuck_at_max`` to three times the RMS of ``y`` at 45 degrees,
-    ``stuck_at_value`` to zero."""
-    if victims.size and mode == "stuck_at_max":
+    ``stuck_at_value`` to zero; ``mode`` in any case."""
+    _raise(_name_errors("mode", mode, FAULT_MODES))
+    if victims.size and mode.lower() == "stuck_at_max":
         fs = 3.0 * float(np.sqrt(np.mean(np.abs(y) ** 2))) or 1.0
         y[victims] = fs * (1.0 + 1j) / np.sqrt(2.0)
     elif victims.size:  # stuck_at_value

@@ -17,14 +17,11 @@ from itertools import compress
 
 import numpy as np
 
+from ..channel import _name_errors, _raise
+
 __all__ = ["Constellation", "map_bits", "demap_hard", "demap_soft"]
 
 _ORDERS = {"qpsk": 2, "16qam": 4, "64qam": 6, "256qam": 8}
-
-
-def _constellation_errors(name: str) -> list:
-    return ([] if name.lower() in _ORDERS
-            else [f"constellation: unknown {name!r}"])
 
 
 @dataclass(frozen=True)
@@ -37,9 +34,7 @@ class Constellation:
 
     @classmethod
     def from_name(cls, name: str) -> "Constellation":
-        errs = _constellation_errors(name)
-        if errs:
-            raise ValueError(errs[0])
+        _raise(_name_errors("constellation", name, _ORDERS))
         key = name.lower()
         bps = _ORDERS[key]
         # odd integer amplitude per Gray axis label, +max at Gray rank 0

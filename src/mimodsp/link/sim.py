@@ -37,23 +37,25 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._openblas import thread_calls as _openblas_thread_calls
-from ..channel import _count_errors, draw_iid_rayleigh, estimate_ls, stream_rng
+from ..channel import (_array_errors, _count_errors, _name_errors, _raise,
+                       _range_errors, draw_iid_rayleigh, estimate_ls,
+                       stream_rng)
 from ..equalization import (DETECTORS, MAX_SERIES_ORDER, N0_FREE_DETECTORS,
                             PRECODERS, build_uplink_detector, precode)
-from ..impairments import (FAULT_MODES, PaModel, build_nonreciprocal,
+from ..impairments import (_MAX_ADC_BITS, FAULT_MODES, PaModel,
+                           build_nonreciprocal,
                            calibrate, draw_front_end_set, draw_victims,
                            evm_db, mui_db, pa_apply, quantize_adc,
                            stick_victims)
 from ..numerics import FxpOverlay
 from .coding import TAIL_BITS, conv_encode, viterbi_decode
-from .modem import (_ORDERS, Constellation, _axis_labels,
-                    _constellation_errors, _nearest_labels, demap_soft,
-                    map_bits)
+from .modem import (_ORDERS, Constellation, _axis_labels, _nearest_labels,
+                    demap_soft, map_bits)
 
 __all__ = [
     "SimConfig", "BerPoint", "BerResult", "run_uplink_ber",
@@ -65,34 +67,6 @@ __all__ = [
 FAULT_POLICIES = ("ignore", "exclude")    # "none": no faults injected
 # Coded rows queued before one Viterbi call: 384 rows of 2048 LLRs are 6 MB.
 _DECODE_ROWS = 384
-
-
-def _array_errors(m: int, k: int) -> List[str]:
-    """The errors of an array of ``m`` antennas serving ``k`` users."""
-    errs = _count_errors(m=m, k=k)
-    if k > m:
-        errs.append(f"k: {k} users exceed {m} antennas")
-    return errs
-
-
-def _precoder_errors(precoder: str) -> List[str]:
-    return ([] if precoder.lower() in PRECODERS else
-            [f"precoder: {precoder!r} not one of {sorted(PRECODERS)}"])
-
-
-def _range_errors(name: str, low: float, high: float,
-                  *values: float) -> List[str]:
-    """The error of float argument ``name`` if a value lies outside its
-    stated range [low, high] (NaN does); residual_error_db entries may be
-    -inf, written -.inf in a config: no calibration error."""
-    entries = "entries " if name == "residual_error_db" else ""
-    floor = "-.inf or at least" if entries else "at least"
-    for v in values:
-        if v > high:
-            return [f"{name}: {entries}must be at most {high}, got {v!r}"]
-        if not (v >= low or entries and v == -math.inf):
-            return [f"{name}: {entries}must be {floor} {low}, got {v!r}"]
-    return []
 
 
 @dataclass
@@ -120,31 +94,38 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        errs = _array_errors(self.m, self.k) + _count_errors(
-            coherence_uses=self.coherence_uses, frames=self.frames,
-            adc_bits=self.adc_bits, cd_sweeps=self.cd_sweeps)
+        """Names match in any case.  An SNR within +-300 dB keeps N0, its
+        root and the LLRs' 1/N0 in float range; a pilot SNR needs no upper
+        bound (+inf: perfect CSI)."""
+        policy = self.victim_policy.lower()
+        const_errs = _name_errors("constellation", self.constellation, _ORDERS)
+        errs = (_array_errors(self.m, self.k)
+                + _count_errors(coherence_uses=self.coherence_uses,
+                                frames=self.frames, cd_sweeps=self.cd_sweeps)
+                + _range_errors("adc_bits", self.adc_bits, 1, _MAX_ADC_BITS)
+                + _range_errors("snr_db", self.snr_db, -300.0, 300.0)
+                + _range_errors("pilot_snr_db", self.pilot_snr_db, -300.0,
+                                math.inf)
+                + _range_errors("signal_fraction_bits",
+                                self.signal_fraction_bits, 1, 24)
+                + _range_errors("operator_fraction_bits",
+                                self.operator_fraction_bits, 1, 24)
+                + _range_errors("nsa_order", self.nsa_order, 0,
+                                MAX_SERIES_ORDER)
+                + _range_errors("seed", self.seed, 0, math.inf)
+                + const_errs
+                + _name_errors("detector", self.detector, DETECTORS)
+                + _name_errors("victim_mode", self.victim_mode, FAULT_MODES)
+                + _name_errors("victim_policy", self.victim_policy,
+                               ("none", *FAULT_POLICIES)))
         if not self.snr_db:
             errs.append("snr_db: empty grid")
-        elif not all(math.isfinite(s) for s in self.snr_db):
-            errs.append("snr_db: entries must be finite")
-        const_errs = _constellation_errors(self.constellation)
-        errs += const_errs
-        if self.detector.lower() not in DETECTORS:
-            errs.append(f"detector: unknown {self.detector!r}")
-        if not -math.inf < self.pilot_snr_db <= math.inf:
-            errs.append("pilot_snr_db: must be finite or +inf (perfect CSI)")
         if self.coded and not const_errs and self.info_bits_per_stream() < 1:
             errs.append("coherence_uses: block too short for a "
                         "zero-terminated rate-1/2 codeword")
-        for name in ("signal_fraction_bits", "operator_fraction_bits"):
-            v = getattr(self, name)
-            if v is not None and not 1 <= v <= 24:
-                errs.append(f"{name}: {v} outside 1..24")
         if (self.signal_fraction_bits is None) != (self.operator_fraction_bits is None):
             errs.append("signal_fraction_bits/operator_fraction_bits: "
                         "set both or neither")
-        if not 0 <= self.nsa_order <= MAX_SERIES_ORDER:
-            errs.append(f"nsa_order: outside 0..{MAX_SERIES_ORDER}")
         if not (math.isfinite(self.c_const) and self.c_const > 0):
             errs.append("c_const: must be finite and positive")
         elif self.c_const > 1:
@@ -152,20 +133,15 @@ class SimConfig:
         in_range = 0.0 <= self.victim_fraction < 1.0    # False for NaN
         if not in_range:
             errs.append("victim_fraction: outside [0, 1)")
-        if self.victim_mode not in FAULT_MODES:
-            errs.append(f"victim_mode: unknown {self.victim_mode!r}")
-        if self.victim_policy not in ("none", *FAULT_POLICIES):
-            errs.append(f"victim_policy: unknown {self.victim_policy!r}")
-        if self.victim_fraction > 0.0 and self.victim_policy == "none":
+        if self.victim_fraction > 0.0 and policy == "none":
             errs.append("victim_policy: faults injected but no policy chosen")
         victims = round(self.victim_fraction * self.m) if in_range else 0
-        if self.victim_policy == "exclude" and self.m - victims < self.k:
+        if policy == "exclude" and self.m - victims < self.k:
             errs.append("victim_fraction: exclusion leaves fewer "
                         "antennas than users")
-        if self.victim_policy == "ignore" and 0 < victims == self.m:
+        if policy == "ignore" and 0 < victims == self.m:
             errs.append("victim_fraction: every antenna is faulty")
-        if errs:
-            raise ValueError("; ".join(errs))
+        _raise(errs)
 
     def _bps(self) -> int:
         return _ORDERS[self.constellation.lower()]
@@ -215,12 +191,13 @@ def _estimates(cfg: SimConfig, overlay: Optional[FxpOverlay], frame: int,
                g_hat: np.ndarray, gx: np.ndarray, w: np.ndarray):
     """Yield ``(point, noise_var, xhat)`` of one run on one frame: its
     victims, ADC, detector builds and mr/zf split (see the module doc)."""
-    if cfg.victim_policy in FAULT_POLICIES:
+    policy = cfg.victim_policy.lower()
+    if policy in FAULT_POLICIES:
         victims = draw_victims(cfg.m, cfg.victim_fraction,
                                stream_rng(cfg.seed, frame, 4))
-    if cfg.victim_policy == "exclude":
+    if policy == "exclude":
         g_hat, gx, w = (np.delete(a, victims, axis=0) for a in (g_hat, gx, w))
-    stuck = cfg.victim_policy == "ignore"
+    stuck = policy == "ignore"
     n0_free = cfg.detector.lower() in N0_FREE_DETECTORS
     split = n0_free and not stuck and cfg.adc_bits is None
     for point, snr_db in enumerate(cfg.snr_db):
@@ -387,11 +364,10 @@ class EvmConfig:
         fewest = min(self.m_list, default=0)
         if self.k >= 1 and fewest < self.k:
             errs.append(f"m_list: {fewest} antennas for {self.k} users")
-        errs += (_range_errors("backoff_db", -60.0, 60.0, self.backoff_db)
-                 + _precoder_errors(self.precoder)
-                 + _constellation_errors(self.constellation))
-        if errs:
-            raise ValueError("; ".join(errs))
+        _raise(errs + _range_errors("backoff_db", self.backoff_db, -60.0, 60.0)
+               + _range_errors("seed", self.seed, 0, math.inf)
+               + _name_errors("precoder", self.precoder, PRECODERS)
+               + _name_errors("constellation", self.constellation, _ORDERS))
 
 
 def run_downlink_evm(cfg: EvmConfig, pa: PaModel) -> Tuple[EvmPoint, ...]:
@@ -442,16 +418,15 @@ class CalibrationConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        errs = (_array_errors(self.m, self.k)
-                + _count_errors(trials=self.trials)
-                + _range_errors("gain_bound_db", 0.0, 20.0, self.gain_bound_db)
-                + _range_errors("phase_bound_deg", 0.0, 180.0,
-                                self.phase_bound_deg)
-                + _range_errors("residual_error_db", -300.0, 60.0,
-                                *self.residual_error_db)
-                + _precoder_errors(self.precoder))
-        if errs:
-            raise ValueError("; ".join(errs))
+        # -inf, written -.inf in a config: no calibration error
+        with_error = tuple(r for r in self.residual_error_db if r != -math.inf)
+        _raise(_array_errors(self.m, self.k) + _count_errors(trials=self.trials)
+               + _range_errors("gain_bound_db", self.gain_bound_db, 0.0, 20.0)
+               + _range_errors("phase_bound_deg", self.phase_bound_deg, 0.0,
+                               180.0)
+               + _range_errors("residual_error_db", with_error, -300.0, 60.0)
+               + _range_errors("seed", self.seed, 0, math.inf)
+               + _name_errors("precoder", self.precoder, PRECODERS))
 
 
 def run_calibration_study(cfg: CalibrationConfig
@@ -531,8 +506,7 @@ def outage_configs(cfg: SimConfig, fractions: Sequence[float], policy: str,
     """An outage study's runs: ``cfg`` without faults, then ``cfg`` at each
     of ``fractions``, all checked (with ``policy`` and ``target_ber``)
     before the first one runs."""
-    if policy.lower() not in FAULT_POLICIES:
-        raise ValueError(f"policy: unknown {policy!r}")
+    _raise(_name_errors("policy", policy, FAULT_POLICIES))
     if not 0.0 < target_ber < 1.0:
         raise ValueError(f"target_ber: {target_ber} outside (0, 1)")
     configs = []

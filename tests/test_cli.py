@@ -339,16 +339,15 @@ class TestValidationFailures:
          "victim_mode: unknown 'bogus'"),
         (dict(_TINY_BER, victim_mode="transient"),
          "victim_mode: unknown 'transient'"),
-        (dict(_TINY_EVM, precoder="rzf"), "precoder: 'rzf' not one of"),
-        (dict(_TINY_CALIBRATION, precoder="rzf"),
-         "precoder: 'rzf' not one of"),
+        (dict(_TINY_EVM, precoder="rzf"), "precoder: unknown 'rzf'"),
+        (dict(_TINY_CALIBRATION, precoder="rzf"), "precoder: unknown 'rzf'"),
         (dict(_TINY_OUTAGE, m=16, k=2, fractions=[0.25, 0.95]),
          "fractions: 0.95: victim_fraction: exclusion leaves fewer"),
         (dict(_TINY_OUTAGE, fractions=[0.1, 1.5]),
          "fractions: 1.5: victim_fraction: outside [0, 1)"),
         (dict(_TINY_OUTAGE, target_ber=2.0), "target_ber: 2.0 outside"),
         (dict(_TINY_TABLE, algorithms=["NSA", "lu"]),
-         "algorithms: unknown algorithm 'lu'"),
+         "algorithms: unknown 'lu', not one of"),
         (dict(_TINY_EVM, pa={"a_1db": float("nan")}),
          "a_1db: expected a number, got nan"),
         (dict(_TINY_EVM, pa={"alpha1": float("nan")}),
@@ -370,7 +369,7 @@ class TestValidationFailures:
         (dict(_TINY_CALIBRATION, residual_error_db=[7000.0]),
          "residual_error_db: entries must be at most 60.0"),
         (dict(_TINY_CALIBRATION, residual_error_db=[-7000.0]),
-         "residual_error_db: entries must be -.inf or at least -300.0"),
+         "residual_error_db: entries must be at least -300.0"),
         (dict(_TINY_CALIBRATION, gain_bound_db=float("nan")),
          "gain_bound_db: expected a number, got nan"),
         (dict(_TINY_CALIBRATION, gain_bound_db=-3.0),
@@ -398,6 +397,29 @@ class TestValidationFailures:
         assert main(["validate", "--config", cfg]) == 1
         assert (capsys.readouterr().err
                 == "validation error: m: expected int, got 'fish'\n")
+
+    # a negative seed used to pass validation and then fail in numpy
+    @pytest.mark.parametrize("payload", [
+        _TINY_BER, _TINY_FXP, _TINY_OUTAGE, _TINY_EVM, _TINY_CALIBRATION,
+        {"experiment": "hardening", "m_list": [4], "trials": 2}])
+    @pytest.mark.parametrize("override", [False, True])
+    def test_negative_seed(self, tmp_path, capsys, payload, override):
+        cfg = _write_config(tmp_path, dict(payload, seed=3 if override
+                                           else -1))
+        out = tmp_path / "x.csv"
+        args = ["--seed", "-1"] if override else []
+        assert main(["run", "--config", cfg, "--out", str(out), *args]) == 1
+        assert (capsys.readouterr().err
+                == "validation error: seed: must be at least 0, got -1\n")
+        assert not out.exists()
+
+    # these used to fail with "unknown 'Stuck_At_Max'; unknown 'Exclude'"
+    @pytest.mark.parametrize("policy", ["Exclude", "IGNORE"])
+    def test_victim_names_in_any_case(self, tmp_path, capsys, policy):
+        cfg = _write_config(tmp_path, dict(
+            _TINY_BER, victim_fraction=0.25, victim_policy=policy,
+            victim_mode="Stuck_At_Max"))
+        assert main(["validate", "--config", cfg]) == 0
 
     # an override below 1 used to pass validation: a ber run then failed
     # at run time (exit 2) and a hardening run wrote "# workers: 0"

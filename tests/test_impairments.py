@@ -127,6 +127,14 @@ class TestAdc:
         with pytest.raises(ValueError, match="no power"):
             quantize_adc(np.zeros(4, dtype=complex), 4)
 
+    # 1025 bits used to overflow; from 54 bits a double misses levels
+    def test_bits_at_the_bound(self, rng):
+        y = np.exp(2j * np.pi * rng.random(64))    # inside full scale
+        assert np.allclose(quantize_adc(y, 53), y, rtol=0, atol=1e-15)
+        for bits in (54, 1025):
+            with pytest.raises(ValueError, match="^bits: must be at most 53"):
+                quantize_adc(y, bits)
+
 
 class TestFrontEnds:
     def test_draw_within_bounds(self, rng):
@@ -256,6 +264,23 @@ class TestCircuitErrors:
             CircuitErrorModel(victim_fraction=1.5)
         with pytest.raises(ValueError):
             CircuitErrorModel(victim_fraction=0.1, mode="meteor")
-        with pytest.raises(ValueError, match="unknown error mode"):
+        with pytest.raises(ValueError, match="^mode: unknown 'transient'"):
             CircuitErrorModel(victim_fraction=0.1, mode="transient")
+
+    # an unknown mode, or a known one not in lower case, used to stick the
+    # rows at zero
+    def test_mode_in_any_case(self, rng):
+        y = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        victims = np.array([1, 4])
+        for mode in FAULT_MODES:
+            lower, mixed = y.copy(), y.copy()
+            stick_victims(lower, victims, mode)
+            stick_victims(mixed, victims, mode.title())
+            assert np.array_equal(lower, mixed)
+            out, _ = inject_errors(y, CircuitErrorModel(0.25, mode.upper()),
+                                   stream_rng(4))
+            assert np.array_equal(out, inject_errors(
+                y, CircuitErrorModel(0.25, mode), stream_rng(4))[0])
+        with pytest.raises(ValueError, match="^mode: unknown 'bogus'"):
+            stick_victims(y.copy(), victims, "bogus")
 

@@ -199,11 +199,65 @@ class TestSimConfigValidation:
         # each of these used to validate and run zf at a BER of 0.5
         cfg = SimConfig(m=16, k=4, snr_db=(10.0,), coded=False,
                         pilot_snr_db=pilot_snr_db)
-        with pytest.raises(ValueError, match="^pilot_snr_db: must be finite "
-                                             r"or \+inf"):
+        with pytest.raises(ValueError, match="^pilot_snr_db: must be at "
+                                             "least -300.0, got"):
             cfg.validate()
         for ok in (math.inf, -30.0, 30.0):
             replace(cfg, pilot_snr_db=ok).validate()
+
+    # snr_db 4000 used to validate and then fail mid-run with "noise
+    # variance must be positive", -4000 and pilot -7000 with an OverflowError
+    @pytest.mark.parametrize("field, value", [
+        ("snr_db", (4000.0,)), ("snr_db", (-4000.0,)), ("snr_db", (300.5,)),
+        ("snr_db", (0.0, math.nan)), ("pilot_snr_db", -7000.0),
+        ("pilot_snr_db", -300.5)])
+    def test_snr_outside_its_range(self, field, value):
+        cfg = SimConfig(m=8, k=2, snr_db=(0.0,), coded=False, frames=1)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            replace(cfg, **{field: value}).validate()
+
+    @pytest.mark.parametrize("detector", ["zf", "cd", "mmse"])
+    def test_snr_at_its_bounds_runs(self, detector):
+        cfg = SimConfig(m=8, k=2, snr_db=(-300.0, 300.0), detector=detector,
+                        coherence_uses=16, frames=1, pilot_snr_db=-300.0)
+        for pilot_snr_db in (-300.0, 1e6, math.inf):
+            res = run_uplink_ber(replace(cfg, pilot_snr_db=pilot_snr_db))
+            assert all(0 <= p.n_errors <= p.n_bits for p in res.points)
+
+    # 1025 bits and more used to validate and then overflow in quantize_adc
+    @pytest.mark.parametrize("adc_bits", [0, 54, 1025])
+    def test_adc_bits_outside_its_range(self, adc_bits):
+        cfg = SimConfig(m=8, k=2, snr_db=(0.0,), adc_bits=adc_bits)
+        with pytest.raises(ValueError, match="^adc_bits: must be at "):
+            cfg.validate()
+
+    def test_adc_bits_at_its_bound_runs(self):
+        cfg = SimConfig(m=8, k=2, snr_db=(0.0,), coded=False,
+                        coherence_uses=16, frames=1, adc_bits=53)
+        assert run_uplink_ber(cfg).points == run_uplink_ber(
+            replace(cfg, adc_bits=None)).points
+
+    # a negative seed used to validate and then fail in numpy
+    def test_negative_seed(self):
+        for cfg in (SimConfig(m=8, k=2, snr_db=(0.0,), seed=-1),
+                    EvmConfig((8,), k=2, seed=-1),
+                    CalibrationConfig(8, 2, seed=-1)):
+            with pytest.raises(ValueError, match="^seed: must be at least 0, "
+                                                 "got -1$"):
+                cfg.validate()
+
+    # names in any case used to fail validation ("unknown 'Exclude'")
+    @pytest.mark.parametrize("policy", FAULT_POLICIES)
+    def test_victim_names_in_any_case(self, policy):
+        cfg = SimConfig(m=12, k=3, snr_db=(-2.0, 0.0), coded=False,
+                        coherence_uses=64, frames=3, seed=5, adc_bits=4,
+                        victim_fraction=0.25, victim_policy=policy)
+        for mode in FAULT_MODES:
+            mixed = replace(cfg, victim_policy=policy.title(),
+                            victim_mode=mode.title())
+            mixed.validate()
+            assert (run_uplink_ber(mixed).points == run_uplink_ber(
+                replace(cfg, victim_mode=mode)).points)
 
     @pytest.mark.parametrize("mode", FAULT_MODES)
     def test_ignore_needs_a_working_antenna(self, mode):
@@ -760,7 +814,7 @@ class TestDownlinkEvm:
                 ("^uses: must be at least 1", dict(uses=0)),
                 ("^m_list: 5 antennas", dict(m_list=(30, 5), k=10)),
                 ("^m_ref: must be at least 1", dict(m_ref=0)),
-                (r"^precoder: 'bogus' not one of \['mr', 'zf'\]",
+                (r"^precoder: unknown 'bogus', not one of \['mr', 'zf'\]",
                  dict(precoder="bogus")),
                 ("^constellation: unknown '8psk'",
                  dict(constellation="8psk"))]:
@@ -792,8 +846,8 @@ class TestCalibrationStudy:
             run_calibration_study(CalibrationConfig(8, 2, trials=0))
         with pytest.raises(ValueError, match="^k: 8 users exceed 4 antennas"):
             run_calibration_study(CalibrationConfig(4, 8, trials=2))
-        with pytest.raises(ValueError, match=r"^precoder: 'bogus' not one of "
-                                             r"\['mr', 'zf'\]"):
+        with pytest.raises(ValueError, match=r"^precoder: unknown 'bogus', "
+                                             r"not one of \['mr', 'zf'\]"):
             run_calibration_study(CalibrationConfig(8, 2, trials=2,
                                                     precoder="bogus"))
 

@@ -25,6 +25,12 @@ BREAKDOWNS = (NonPositivePivotError, ZeroDiagonalError, ZeroDivisionError)
 NO_BASELINE = "baseline never reaches BER"
 
 
+def _name(names):
+    """One of ``names``, in lower, upper or mixed case."""
+    known = st.sampled_from(sorted(names))
+    return known | known.map(str.upper) | known.map(str.title)
+
+
 @st.composite
 def _frame_fields(draw):
     """The fields that shape the frames, shared by every run of a pass."""
@@ -45,7 +51,7 @@ def _frame_fields(draw):
 def _run_fields(draw):
     """The fields a run of a shared pass reads for itself."""
     bits = draw(st.none() | st.tuples(st.integers(1, 24), st.integers(1, 24)))
-    policy = draw(st.sampled_from(("none", *FAULT_POLICIES)))
+    policy = draw(_name(("none", *FAULT_POLICIES)))
     return dict(
         detector=draw(st.sampled_from(sorted(DETECTORS))),
         signal_fraction_bits=bits and bits[0],
@@ -55,9 +61,9 @@ def _run_fields(draw):
         c_const=draw(st.just(1.0) | st.floats(0.0, 1.5)),
         adc_bits=draw(st.none() | st.integers(1, 8)),
         victim_policy=policy,
-        victim_fraction=(0.0 if policy == "none"
+        victim_fraction=(0.0 if policy.lower() == "none"
                          else draw(st.floats(0.0, 1.0))),
-        victim_mode=draw(st.sampled_from(FAULT_MODES)))
+        victim_mode=draw(_name(FAULT_MODES)))
 
 
 def _accepted(cfg: SimConfig) -> bool:
@@ -116,12 +122,16 @@ _SIZE_LISTS = st.lists(_SIZES, min_size=1, max_size=3)
 _NOT_COUNTS = st.integers(-2, 0)
 _ANY_COUNT_LISTS = st.lists(st.integers(-2, 8), min_size=1, max_size=3)
 _UNKNOWN_NAMES = st.sampled_from(["bogus", "8psk"])
-
-
-def _name(names):
-    """One of ``names``, in lower or upper case."""
-    known = st.sampled_from(sorted(names))
-    return known | known.map(str.upper)
+_SEEDS = st.integers(0, 2**16)
+_NEGATIVE_SEEDS = st.integers(-2**16, -1)
+# bad values of the SimConfig keys: SNRs past +-300 dB (+inf allowed for
+# pilots), adc_bits on both sides of 53 and of 1024, the widest that ran
+_BAD_SIM_KEYS = dict(
+    seed=_NEGATIVE_SEEDS,
+    adc_bits=st.integers(51, 55) | st.integers(1023, 1026),
+    snr_db=st.lists(st.floats(-400.0, 400.0) | st.floats(), min_size=1,
+                    max_size=3),
+    pilot_snr_db=st.floats(-400.0, 400.0) | st.floats())
 
 
 def _spoiled(draw, keys, bad):
@@ -132,15 +142,17 @@ def _spoiled(draw, keys, bad):
 
 @st.composite
 def _raw_ber(draw):
-    return [dict(experiment="ber", **_sim_keys(draw))]
+    return _spoiled(draw, dict(experiment="ber", **_sim_keys(draw)),
+                    _BAD_SIM_KEYS)
 
 
 @st.composite
 def _raw_fxp_sweep(draw):
-    return [dict(experiment="fxp_sweep", **_sim_keys(draw, *_FRACTION_BITS),
-                 fraction_bits=draw(st.lists(st.integers(1, 24), min_size=1,
-                                             max_size=3)),
-                 include_float=draw(st.booleans()))]
+    keys = dict(experiment="fxp_sweep", **_sim_keys(draw, *_FRACTION_BITS),
+                fraction_bits=draw(st.lists(st.integers(1, 24), min_size=1,
+                                            max_size=3)),
+                include_float=draw(st.booleans()))
+    return _spoiled(draw, keys, _BAD_SIM_KEYS)
 
 
 @st.composite
@@ -148,11 +160,12 @@ def _raw_outage(draw):
     keys = _sim_keys(draw, *_VICTIMS)
     # a wide grid, so that the baseline often crosses the target
     keys["snr_db"] = [-10.0, draw(st.floats(-5.0, 5.0)), 30.0]
-    return [dict(experiment="outage", **keys,
-                 fractions=draw(st.lists(st.floats(0.0, 0.5), min_size=1,
-                                         max_size=3)),
-                 policy=draw(st.sampled_from(FAULT_POLICIES)),
-                 target_ber=draw(st.floats(0.0, 0.3)))]
+    keys.update(experiment="outage",
+                fractions=draw(st.lists(st.floats(0.0, 0.5), min_size=1,
+                                        max_size=3)),
+                policy=draw(_name(FAULT_POLICIES)),
+                target_ber=draw(st.floats(0.0, 0.3)))
+    return _spoiled(draw, keys, _BAD_SIM_KEYS)
 
 
 @st.composite
@@ -165,7 +178,7 @@ def _raw_evm_vs_m(draw):
                 backoff_db=draw(st.floats(-60.0, 60.0)),
                 precoder=draw(_name(PRECODERS)),
                 constellation=draw(_name(_ORDERS)),
-                m_ref=draw(st.none() | _SIZES),
+                m_ref=draw(st.none() | _SIZES), seed=draw(_SEEDS),
                 pa=dict(a_1db=draw(st.floats(1e-3, 3.0)),
                         alpha1=draw(st.floats(0.1, 2.0)
                                     | st.floats(-2.0, -0.1))))
@@ -173,6 +186,7 @@ def _raw_evm_vs_m(draw):
         m_list=_ANY_COUNT_LISTS, k=_NOT_COUNTS, trials=_NOT_COUNTS,
         uses=_NOT_COUNTS, m_ref=_NOT_COUNTS, precoder=_UNKNOWN_NAMES,
         constellation=_UNKNOWN_NAMES, backoff_db=st.floats(),
+        seed=_NEGATIVE_SEEDS,
         # zero, subnormal, tiny, huge and infinite values included:
         # validate refuses what leaves no compression point
         pa=st.fixed_dictionaries(dict(
@@ -213,9 +227,10 @@ def _raw_interconnect(draw):
 @st.composite
 def _raw_hardening(draw):
     keys = dict(experiment="hardening", m_list=draw(_SIZE_LISTS),
-                trials=draw(st.integers(1, 20)))
+                trials=draw(st.integers(1, 20)), seed=draw(_SEEDS))
     return _spoiled(draw, keys, dict(m_list=_ANY_COUNT_LISTS,
-                                     trials=_NOT_COUNTS))
+                                     trials=_NOT_COUNTS,
+                                     seed=_NEGATIVE_SEEDS))
 
 
 @st.composite
@@ -228,14 +243,15 @@ def _raw_calibration(draw):
                     st.floats(-300.0, 60.0) | st.just(-math.inf),
                     min_size=1, max_size=2)),
                 trials=draw(st.integers(1, 2)),
-                precoder=draw(_name(PRECODERS)))
+                precoder=draw(_name(PRECODERS)), seed=draw(_SEEDS))
     return _spoiled(draw, keys, dict(
         # k above m first: hypothesis leans on a union's first branch
         m=_NOT_COUNTS, k=st.integers(9, 12) | _NOT_COUNTS,
         trials=_NOT_COUNTS,
         precoder=_UNKNOWN_NAMES, gain_bound_db=st.floats(),
         phase_bound_deg=st.floats(),
-        residual_error_db=st.lists(st.floats(), min_size=1, max_size=2)))
+        residual_error_db=st.lists(st.floats(), min_size=1, max_size=2),
+        seed=_NEGATIVE_SEEDS))
 
 
 _RAW = {"ber": _raw_ber, "fxp_sweep": _raw_fxp_sweep,
