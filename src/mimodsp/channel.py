@@ -47,8 +47,10 @@ def estimate_ls(g: np.ndarray, pilot_snr_db: float, rng: RngLike) -> np.ndarray:
     Users send the columns of a scaled DFT matrix, so the K x K pilot block
     is unitary and the LS estimate is the true channel plus i.i.d.
     CN(0, sigma^2) error with ``sigma^2 = 10 ** (-pilot_snr_db / 10)``.
-    ``pilot_snr_db = inf`` returns a copy of the true channel.
+    ``pilot_snr_db`` runs from -300 dB, as in the configs, to +inf, which
+    returns a copy of the true channel.
     """
+    _raise(_range_errors("pilot_snr_db", pilot_snr_db, -300.0, np.inf))
     g = np.asarray(g)
     if np.isinf(pilot_snr_db) and pilot_snr_db > 0:
         return g.copy()

@@ -214,7 +214,10 @@ def _draw_responses(n: int, gain_bound_db: float, phase_bound_deg: float,
 def draw_front_end_set(m: int, k: int, gain_bound_db: float = 1.0,
                        phase_bound_deg: float = 5.0,
                        rng: RngLike = 0) -> FrontEndSet:
-    """Independent uniform gain/phase mismatch for every chain."""
+    """Independent uniform gain/phase mismatch for every chain, within
+    +-``gain_bound_db`` (0..20) and +-``phase_bound_deg`` (0..180)."""
+    _raise(_range_errors("gain_bound_db", gain_bound_db, 0.0, 20.0)
+           + _range_errors("phase_bound_deg", phase_bound_deg, 0.0, 180.0))
     r = as_rng(rng)
     return FrontEndSet(
         r_bs=_draw_responses(m, gain_bound_db, phase_bound_deg, r),

@@ -72,13 +72,29 @@ def _level_distances(symbols: np.ndarray, c: Constellation):
 
 
 def _nearest_labels(symbols: np.ndarray, c: Constellation) -> np.ndarray:
-    """(..., symbols, 2) uint8 nearest-level labels, ties as in argmin."""
-    dists = _level_distances(symbols, c)
-    best = next(dists)
-    labels = np.zeros(best.shape, dtype=np.uint8)
-    for label, d in enumerate(dists, 1):
-        np.copyto(labels, label, where=d < best)
-        np.minimum(best, d, out=best)
+    """(..., symbols, 2) uint8 nearest-level labels, ties as in argmin.
+
+    Each level's squared distance goes into one reused buffer.  Labels
+    only grow in level order, so a level strictly closer than all before
+    it raises its entries' label by a maximum; the first comparison is
+    written as the labels themselves."""
+    v = np.ascontiguousarray(symbols, dtype=complex)[..., None].view(float)
+    first, *rest = c.axis_levels
+    best = np.subtract(v, first)
+    np.square(best, out=best)
+    d = np.empty_like(best)
+    labels = np.empty(best.shape, dtype=np.uint8)
+    closer = np.empty_like(labels)
+    for label, level in enumerate(rest, 1):
+        np.square(np.subtract(v, level, out=d), out=d)
+        if label == 1:
+            np.less(d, best, out=labels.view(bool))
+        else:
+            np.less(d, best, out=closer.view(bool))
+            np.multiply(closer, np.uint8(label), out=closer)
+            np.maximum(labels, closer, out=labels)
+        if label < len(rest):
+            np.minimum(best, d, out=best)
     return labels
 
 

@@ -64,6 +64,17 @@ class TestEstimateLs:
         # grand mean over 800 entries and 50 draws pins the bias tightly
         assert abs(np.mean(acc / 50) - 1.0) < 0.03
 
+    # -7000 dB used to raise OverflowError from 10 ** 350
+    @pytest.mark.parametrize("snr_db", [-7000.0, -300.5, -np.inf, np.nan])
+    def test_pilot_snr_outside_its_range(self, snr_db):
+        with pytest.raises(ValueError,
+                           match="^pilot_snr_db: must be at least -300.0, got"):
+            estimate_ls(np.ones((4, 2), dtype=complex), snr_db, 0)
+
+    def test_pilot_snr_at_its_bound_runs(self):
+        g_hat = estimate_ls(np.ones((4, 2), dtype=complex), -300.0, 0)
+        assert np.all(np.isfinite(g_hat))
+
 
 class TestGram:
     def test_hermitian_psd(self, rng):

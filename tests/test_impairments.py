@@ -148,6 +148,27 @@ class TestFrontEnds:
         fe = draw_front_end_set(16, 4, rng=rng)
         assert fe.m == 16 and fe.k == 4
 
+    # a negative bound used to raise numpy's "high - low < 0"
+    @pytest.mark.parametrize("gain, phase, error", [
+        (-1.0, 5.0, "^gain_bound_db: must be at least 0.0, got -1.0$"),
+        (20.5, 5.0, "^gain_bound_db: must be at most 20.0, got 20.5$"),
+        (np.nan, 5.0, "^gain_bound_db: must be at least 0.0, got nan$"),
+        (1.0, -1.0, "^phase_bound_deg: must be at least 0.0, got -1.0$"),
+        (1.0, 181.0, "^phase_bound_deg: must be at most 180.0, got 181.0$"),
+        (-1.0, np.inf, "^gain_bound_db: .*; phase_bound_deg: must be at "
+                       "most 180.0, got inf$"),
+    ], ids=["gain_negative", "gain_above", "gain_nan", "phase_negative",
+            "phase_above", "both"])
+    def test_bounds_outside_their_ranges(self, gain, phase, error):
+        with pytest.raises(ValueError, match=error):
+            draw_front_end_set(4, 2, gain, phase, 0)
+
+    def test_bounds_at_their_ends_run(self, rng):
+        for gain, phase in ((0.0, 0.0), (20.0, 180.0)):
+            fe = draw_front_end_set(4, 2, gain, phase, rng)
+            gains_db = 20 * np.log10(np.abs(fe.r_bs))
+            assert np.all(np.abs(gains_db) <= gain + 1e-9)
+
     def test_nonreciprocal_shapes_and_mismatch(self, rng):
         g = draw_iid_rayleigh(16, 4, rng)
         fe = draw_front_end_set(16, 4, rng=rng)

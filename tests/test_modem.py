@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from mimodsp import Constellation, demap_hard, demap_soft, map_bits
+from mimodsp.link.modem import _nearest_labels
 
 ALL_NAMES = ("qpsk", "16qam", "64qam", "256qam")
 
@@ -261,6 +262,53 @@ class TestAgainstReference:
             np.testing.assert_array_equal(
                 demap_soft(values, constellation, 0.5).view(np.int64),
                 _reference_demap_soft(values, constellation, 0.5).view(np.int64))
+
+
+def _reference_labels(symbols, c):
+    """(..., n, 2) nearest-level labels of I and Q by argmin."""
+    v = np.stack([symbols.real, symbols.imag], axis=-1)
+    return np.argmin((v[..., None] - c.axis_levels) ** 2, axis=-1)
+
+
+# the simulator's shape: 16 streams of 512 symbols
+_SIM_SHAPE = (16, 512)
+
+
+# 1e300 ** 2 overflows on both sides
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNearestLabels:
+    def _check(self, symbols, c):
+        before = symbols.copy()
+        got = _nearest_labels(symbols, c)
+        assert got.dtype == np.uint8
+        assert got.shape == (*symbols.shape, 2)
+        np.testing.assert_array_equal(got, _reference_labels(symbols, c))
+        np.testing.assert_array_equal(symbols.view(np.int64),
+                                      before.view(np.int64))
+        return got
+
+    @pytest.mark.parametrize("shape", [_SIM_SHAPE, (2, 3, 16)],
+                             ids=["16x512", "3d"])
+    def test_equals_argmin(self, constellation, rng, shape):
+        n = int(np.prod(shape))
+        symbols = _edge_symbols(constellation, rng, n).reshape(shape)
+        self._check(symbols, constellation)
+
+    def test_two_levels_decide_by_sign(self, rng):
+        # QPSK's levels are +-1/sqrt(2): label 1 exactly where the axis is
+        # finite and negative; +-0, +-inf and NaN tie or compare false
+        c = Constellation.from_name("qpsk")
+        n = _SIM_SHAPE[0] * _SIM_SHAPE[1]
+        symbols = _edge_symbols(c, rng, n).reshape(_SIM_SHAPE)
+        got = self._check(symbols, c)
+        v = np.stack([symbols.real, symbols.imag], axis=-1)
+        np.testing.assert_array_equal(got, (v < 0) & np.isfinite(v))
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -0.5])
+        symbols = np.empty(len(specials), dtype=complex)
+        symbols.real, symbols.imag = specials, specials[::-1]
+        np.testing.assert_array_equal(
+            self._check(symbols, c),
+            [[0, 1], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0]])
 
 
 class TestEmptyBatch:
